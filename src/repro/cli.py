@@ -24,8 +24,7 @@ Commands:
 * ``batch <paths...>``     — verify a directory / manifest of trace
   files as one campaign: every (file, address) task is canonicalized
   and deduplicated batch-wide *before* any solving, unique instances
-  are sharded across a process pool by content fingerprint
-  (``--jobs``), and verdicts are served from / written to a persistent
+  are decided on the engine's worker pool (``--jobs``), and verdicts are served from / written to a persistent
   content-addressed result store (``--store DIR``,
   ``--store-max-mb``).  ``--dry-run`` prints the dedup plan and
   predicted store hits without solving; ``--json FILE`` writes the
@@ -995,7 +994,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "batch",
         help="verify a directory/manifest of trace files as one "
-        "deduplicated, sharded campaign",
+        "deduplicated campaign",
     )
     p.add_argument(
         "paths",
@@ -1013,15 +1012,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=_positive_int,
         default=1,
-        help="shard unique instances over N worker processes; workers "
-        "are partitioned by store shard, so they never contend on a "
-        "shard lock",
+        help="decide unique instances on a pool of N workers "
+        "(processes when exponential-tier work remains, else threads); "
+        "only the parent writes to the store",
     )
     p.add_argument(
         "--dry-run",
         action="store_true",
         help="print the dedup plan (N files -> M unique instances, "
-        "predicted store hits, admission windows) without solving",
+        "predicted store hits, pool window) without solving",
     )
     p.add_argument(
         "--json",
@@ -1060,8 +1059,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=_nonneg_float,
         default=None,
         metavar="S",
-        help="wall-clock budget for the whole batch; instances not "
-        "admitted before expiry report UNKNOWN(budget)",
+        help="wall-clock budget for the whole batch; instances still "
+        "undecided at expiry report UNKNOWN(budget)",
     )
     p.add_argument(
         "--task-timeout",
@@ -1075,8 +1074,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=_nonneg_int,
         default=None,
         metavar="N",
-        help="pool-breakage retries per chunk before it is quarantined "
-        "to in-process execution (default 2)",
+        help="crash retries per unique instance before it is "
+        "quarantined to in-process execution (default 2)",
     )
     p.add_argument(
         "--chaos",
@@ -1398,7 +1397,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=_positive_int,
         default=1,
-        help="shard deduplicated instances over N worker processes",
+        help="decide deduplicated instances on a pool of N workers",
     )
     p.add_argument(
         "--certify",

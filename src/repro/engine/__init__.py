@@ -51,7 +51,6 @@ from repro.engine.executor import (
     ResiliencePolicy,
     execute_plan,
     resolve_pool,
-    run_task,
 )
 from repro.engine.planner import PlannedTask, plan_vmc, plan_vsc
 from repro.engine.portfolio import (
@@ -143,7 +142,6 @@ __all__ = [
     "prepass_vmc",
     "prepass_vsc",
     "resolve_pool",
-    "run_task",
     "validate_result",
     "verify_vmc",
     "verify_vmc_at",

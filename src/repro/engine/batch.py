@@ -1,4 +1,4 @@
-"""Sharded batch verification: many traces, one campaign.
+"""Batch verification: many traces, one campaign.
 
 The paper's hardness results (Theorem 4.2: VMC is NP-complete) mean
 campaign-scale throughput comes from *never solving the same instance
@@ -12,53 +12,54 @@ single solve.  This module is that data plane:
    (:func:`repro.engine.cache.canonicalize`) and grouped by canonical
    key *before any solving*: N tasks collapse to M unique instances,
    and each unique is decided exactly once per batch.
-3. **Admission / sharding** — unique instances are bucketed by their
-   store shard (``fingerprint[0] % n_shards``), so with ``--jobs N``
-   every worker's working set maps to a *disjoint* set of persistent
-   store shards — workers never contend on a shard lock.  Buckets are
-   drained chunk-by-chunk with at most one chunk of a bucket in flight
-   (the PR-2 bounded-window discipline at batch granularity).
-4. **Serve or solve** — each unique consults the (store-backed) cache
-   first; hits pass the same on-hit validation seam as the executor's
-   (witness replay always, certificates under ``--certify``), and a
-   corrupt or stale record is evicted from both tiers and recomputed,
-   never served.  Misses run through :func:`repro.engine.verify_vmc_at`
-   under the per-batch :class:`~repro.engine.ResiliencePolicy` budget.
+3. **Serve** — each unique is looked up once in the (store-backed)
+   cache; a hit passes the executor's on-hit validation
+   (:func:`repro.engine.executor.validated_hit`: witness replay always,
+   certificates under ``--certify``) and is served before any
+   pre-pass runs, which is the warm-store fast path.  A corrupt or
+   stale record is evicted from both tiers and recomputed, never
+   served.
+4. **Solve** — the misses are planned (pre-pass and portfolio, as
+   :func:`repro.engine.plan_vmc` would) and decided by the executor's
+   one serial/pooled runner (:func:`repro.engine.executor.run_tasks`)
+   under the batch's :class:`~repro.engine.ResiliencePolicy`: the run
+   budget, per-task deadlines, crash retries and quarantine are the
+   executor's.  Results come back keyed by task, and the parent alone
+   writes them to the cache and store.  An engine exception or a
+   failed certification stays with its unique and becomes its
+   sources' ``error``; it never fails the batch.
 5. **Report** — results fan back out to their sources; the aggregate
    per source is ``VIOLATED > UNKNOWN > holds`` and the machine-
    readable report records per-source verdicts, hit provenance
    (solved / memory / store / dedup) and certified counts.
 
 ``repro batch`` (the CLI front-end) adds ``--dry-run``: print the
-dedup plan and predicted store hits without solving anything — a cheap
-correctness probe for the admission-control math.
+dedup plan and predicted store hits without solving anything.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
-import traceback
-from collections import deque
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Mapping, Sequence
 
 from repro.core.result import VerificationResult
 from repro.core.types import Address, Execution, Operation
+from repro.engine.backend import Instance
 from repro.engine.cache import CanonicalInstance, ResultCache, canonicalize
-from repro.engine.certify import CertificationError, validate_result
-from repro.engine.executor import NO_RESILIENCE, ResiliencePolicy
-from repro.engine.store import ResultStore, fingerprint_key
+from repro.engine.certify import CertificationError
+from repro.engine.executor import (
+    NO_RESILIENCE,
+    WINDOW_PER_JOB,
+    ResiliencePolicy,
+    resolve_pool,
+    run_tasks,
+    validated_hit,
+)
+from repro.engine.planner import _prepassed_task
+from repro.engine.registry import vmc_registry
+from repro.engine.store import ResultStore
 from repro.util.deadline import Deadline
-
-#: Default shard fanout used for bucketing when no store is attached
-#: (matches :class:`ResultStore`'s default so plans agree either way).
-DEFAULT_SHARDS = 16
-
-#: Uniques per pool submission.  Small enough to pipeline (a bucket
-#: with a slow chunk does not starve the window), large enough that
-#: pickling overhead amortizes.
-CHUNK_SIZE = 8
 
 
 # ---------------------------------------------------------------------
@@ -81,7 +82,6 @@ class UniqueInstance:
     sub: Execution
     address: Any
     write_order: Sequence[Operation] | None
-    fp: bytes
     count: int = 1
 
 
@@ -124,7 +124,7 @@ class BatchPlan:
     def dedup_ratio(self) -> float:
         return len(self.tasks) / len(self.uniques) if self.uniques else 1.0
 
-    def describe(self, jobs: int = 1, n_shards: int = DEFAULT_SHARDS) -> str:
+    def describe(self, jobs: int = 1) -> str:
         """The ``--dry-run`` rendering of the plan."""
         lines = [
             f"batch plan: {len(self.labels)} sources, "
@@ -137,32 +137,17 @@ class BatchPlan:
                 f"store: {self.predicted_store_hits} predicted hits, "
                 f"{to_solve} to solve"
             )
-        buckets = _bucketize(self.uniques, jobs, n_shards)
-        chunks = sum(
-            (len(b) + CHUNK_SIZE - 1) // CHUNK_SIZE for b in buckets if b
-        )
-        lines.append(
-            f"admission: jobs={jobs}, {sum(1 for b in buckets if b)} "
-            f"buckets over {n_shards} shards, {chunks} chunks of "
-            f"<={CHUNK_SIZE}, window {jobs} in flight"
-        )
+        if jobs <= 1:
+            lines.append("admission: jobs=1, misses run serially")
+        else:
+            lines.append(
+                f"admission: jobs={jobs} on the executor's auto pool, "
+                f"window {WINDOW_PER_JOB * jobs} in flight"
+            )
         if self.errors:
             for idx in sorted(self.errors):
                 lines.append(f"error: {self.labels[idx]}: {self.errors[idx]}")
         return "\n".join(lines)
-
-
-def _bucketize(
-    uniques: list[UniqueInstance], jobs: int, n_shards: int
-) -> list[list[int]]:
-    """Partition unique indices into per-worker buckets **by shard**:
-    shard ``s`` always lands in bucket ``s % jobs``, so two workers can
-    never append to the same store shard."""
-    buckets: list[list[int]] = [[] for _ in range(max(1, jobs))]
-    for i, u in enumerate(uniques):
-        shard = u.fp[0] % n_shards
-        buckets[shard % max(1, jobs)].append(i)
-    return buckets
 
 
 # ---------------------------------------------------------------------
@@ -204,7 +189,6 @@ def plan_batch(
                         sub=sub,
                         address=addr,
                         write_order=wo,
-                        fp=fingerprint_key(canon.key),
                     )
                 )
             else:
@@ -223,137 +207,7 @@ def plan_batch(
 
 
 # ---------------------------------------------------------------------
-# Serve-or-solve (shared by the serial path and the workers)
-# ---------------------------------------------------------------------
-def _serve_or_solve(
-    unique: UniqueInstance,
-    cache: ResultCache | None,
-    certify: str,
-    task_policy: ResiliencePolicy | None,
-    prepass: bool,
-    portfolio: Any,
-) -> VerificationResult:
-    """Decide one unique instance: validated cache/store hit or a full
-    engine run.  Mirrors the executor's on-hit validation seam — the
-    canonical key is already in hand, so a warm hit skips planning and
-    the pre-pass entirely (that is the warm-store fast path)."""
-    from repro.engine import verify_vmc_at
-
-    if cache is not None:
-        hit = cache.lookup(unique.canon)
-        if hit is not None:
-            hit.address = unique.address
-            if hit.holds or certify != "off":
-                check = validate_result(
-                    unique.sub, hit, "vmc",
-                    write_order=unique.write_order,
-                )
-                if not check:
-                    cache.invalidate(unique.canon)
-                    hit = None
-                elif certify != "off":
-                    hit.stats["certified"] = True
-            if hit is not None:
-                return hit
-    result = verify_vmc_at(
-        unique.sub,
-        unique.address,
-        write_order=unique.write_order,
-        cache=False,  # batch-wide dedup already collapsed duplicates
-        prepass=prepass,
-        portfolio=portfolio,
-        resilience=task_policy,
-        certify=certify,
-    )
-    if cache is not None and not result.unknown:
-        cache.store(unique.canon, result)
-    return result
-
-
-def _slim(result: VerificationResult) -> VerificationResult:
-    """Strip the parent-irrelevant payload before crossing the pool
-    boundary (the per-task EngineReport is worker-local detail)."""
-    result.report = None
-    result.per_address = {}
-    return result
-
-
-def _task_policy(policy: ResiliencePolicy) -> ResiliencePolicy | None:
-    """The per-task slice of the batch policy: task deadline, retries
-    and chaos travel to the worker; the run budget stays with the
-    parent's admission control."""
-    if (
-        policy.task_timeout is None
-        and policy.chaos is None
-        and policy.retries == NO_RESILIENCE.retries
-    ):
-        return None
-    return ResiliencePolicy(
-        task_timeout=policy.task_timeout,
-        retries=policy.retries,
-        backoff_s=policy.backoff_s,
-        chaos=policy.chaos,
-    )
-
-
-# ---------------------------------------------------------------------
-# Worker side
-# ---------------------------------------------------------------------
-#: Per-process cache singletons keyed by store identity, so one worker
-#: process reuses its memory tier and store handle across chunks.
-_WORKER_CACHES: dict[tuple, ResultCache] = {}
-
-
-def _worker_cache(
-    store_path: str | None, store_max_mb: float | None, chaos
-) -> ResultCache:
-    key = (store_path, store_max_mb, chaos)
-    cache = _WORKER_CACHES.get(key)
-    if cache is None:
-        store = (
-            ResultStore(store_path, max_mb=store_max_mb, chaos=chaos)
-            if store_path is not None
-            else None
-        )
-        cache = ResultCache(store=store)
-        _WORKER_CACHES[key] = cache
-    return cache
-
-
-def _solve_chunk(
-    items: list[tuple[int, UniqueInstance]],
-    store_path: str | None,
-    store_max_mb: float | None,
-    certify: str,
-    task_policy: ResiliencePolicy | None,
-    prepass: bool,
-    portfolio: Any,
-) -> list[tuple[int, VerificationResult | None, str | None]]:
-    """Process-pool unit: decide a chunk of uniques against this
-    worker's store shards, flush once, return slim results."""
-    cache = _worker_cache(
-        store_path, store_max_mb, task_policy.chaos if task_policy else None
-    )
-    out: list[tuple[int, VerificationResult | None, str | None]] = []
-    for uidx, unique in items:
-        try:
-            result = _serve_or_solve(
-                unique, cache, certify, task_policy, prepass, portfolio
-            )
-            out.append((uidx, _slim(result), None))
-        except CertificationError as e:
-            out.append((uidx, None, f"certification failed: {e}"))
-        except Exception as e:  # noqa: BLE001 - one bad instance never sinks a chunk
-            out.append(
-                (uidx, None, f"{type(e).__name__}: {e}\n"
-                 f"{traceback.format_exc(limit=3)}")
-            )
-    cache.flush_store()
-    return out
-
-
-# ---------------------------------------------------------------------
-# Parent-side execution
+# Execution
 # ---------------------------------------------------------------------
 @dataclass
 class BatchStats:
@@ -372,150 +226,70 @@ class BatchStats:
     dedup_served: int = 0
     certified: int = 0
     budget_expired: int = 0
-    chunk_retries: int = 0
-    quarantined_chunks: int = 0
+    retries: int = 0
+    quarantined: int = 0
     wall_s: float = 0.0
 
 
-def _unknown_budget(unique: UniqueInstance, timeout) -> VerificationResult:
-    return VerificationResult.make_unknown(
-        method="batch",
-        reason="budget",
-        detail=(
-            f"batch budget {timeout:g}s exhausted before the instance "
-            f"started"
-        ),
-        address=unique.address,
-    )
+def _error_text(e: Exception) -> str:
+    if isinstance(e, CertificationError):
+        return f"certification failed: {e}"
+    return f"{type(e).__name__}: {e}"
 
 
 def _run_uniques(
     plan: BatchPlan,
     jobs: int,
-    cache: ResultCache | None,
-    store: ResultStore | None,
+    cache: ResultCache,
     policy: ResiliencePolicy,
     certify: str,
     prepass: bool,
     portfolio: Any,
     stats: BatchStats,
 ) -> dict[int, tuple[VerificationResult | None, str | None]]:
-    """Decide every unique instance; returns uidx -> (result, error)."""
-    decided: dict[int, tuple[VerificationResult | None, str | None]] = {}
-    task_policy = _task_policy(policy)
+    """Decide every unique instance; returns uidx -> (result, error).
+
+    Validated hits are served first; each miss becomes a task whose
+    ``order`` is its unique's index, and the executor decides them all.
+    """
     run_deadline = Deadline.after(policy.timeout)
-
-    def serve(uidx: int) -> None:
-        unique = plan.uniques[uidx]
-        if run_deadline is not None and run_deadline.expired():
-            decided[uidx] = (_unknown_budget(unique, policy.timeout), None)
-            stats.budget_expired += 1
-            return
-        try:
-            decided[uidx] = (
-                _serve_or_solve(
-                    unique, cache, certify, task_policy, prepass, portfolio
-                ),
-                None,
-            )
-        except CertificationError as e:
-            decided[uidx] = (None, f"certification failed: {e}")
-        except Exception as e:  # noqa: BLE001
-            decided[uidx] = (None, f"{type(e).__name__}: {e}")
-
-    if jobs <= 1 or len(plan.uniques) <= 1:
-        for uidx in range(len(plan.uniques)):
-            serve(uidx)
-        return decided
-
-    n_shards = store.n_shards if store is not None else DEFAULT_SHARDS
-    buckets = _bucketize(plan.uniques, jobs, n_shards)
-    queues: list[deque[list[int]]] = []
-    for bucket in buckets:
-        q: deque[list[int]] = deque()
-        for i in range(0, len(bucket), CHUNK_SIZE):
-            q.append(bucket[i:i + CHUNK_SIZE])
-        queues.append(q)
-    store_path = store.path if store is not None else None
-    store_max_mb = (
-        store.max_bytes / (1024 * 1024)
-        if store is not None and store.max_bytes is not None
-        else None
-    )
-
-    def submit(executor, bucket_idx: int, chunk: list[int], attempt: int):
-        items = [(uidx, plan.uniques[uidx]) for uidx in chunk]
-        fut = executor.submit(
-            _solve_chunk, items, store_path, store_max_mb,
-            certify, task_policy, prepass, portfolio,
+    registry = vmc_registry()
+    decided: dict[int, tuple[VerificationResult | None, str | None]] = {}
+    tasks = []
+    for uidx, unique in enumerate(plan.uniques):
+        instance = Instance(
+            unique.sub, address=unique.address,
+            write_order=unique.write_order, problem="vmc",
         )
-        return (fut, bucket_idx, chunk, attempt)
-
-    def quarantine(chunk: list[int]) -> None:
-        # Retries exhausted: decide the chunk in-process against the
-        # parent's cache/store handle (flock keeps that safe).
-        stats.quarantined_chunks += 1
-        for uidx in chunk:
-            serve(uidx)
-
-    executor = concurrent.futures.ProcessPoolExecutor(max_workers=jobs)
-    try:
-        in_flight: list[tuple] = []
-        # Seed the window: one chunk per bucket, at most `jobs` in
-        # flight ever — admission control by construction.
-        for b, q in enumerate(queues):
-            if q:
-                in_flight.append(submit(executor, b, q.popleft(), 0))
-        while in_flight:
-            done, _pending = concurrent.futures.wait(
-                [f for f, *_ in in_flight],
-                return_when=concurrent.futures.FIRST_COMPLETED,
-            )
-            still: list[tuple] = []
-            finished_buckets: list[int] = []
-            for fut, b, chunk, attempt in in_flight:
-                if fut not in done:
-                    still.append((fut, b, chunk, attempt))
-                    continue
-                try:
-                    for uidx, result, err in fut.result():
-                        decided[uidx] = (result, err)
-                    finished_buckets.append(b)
-                except concurrent.futures.BrokenExecutor:
-                    executor.shutdown(wait=False, cancel_futures=True)
-                    executor = concurrent.futures.ProcessPoolExecutor(
-                        max_workers=jobs
-                    )
-                    if attempt >= policy.retries:
-                        quarantine(chunk)
-                        finished_buckets.append(b)
-                    else:
-                        stats.chunk_retries += 1
-                        still.append(submit(executor, b, chunk, attempt + 1))
-            in_flight = still
-            for b in finished_buckets:
-                expired = (
-                    run_deadline is not None and run_deadline.expired()
-                )
-                if expired:
-                    continue  # stop admitting; drain what's in flight
-                if queues[b]:
-                    in_flight.append(
-                        submit(executor, b, queues[b].popleft(), 0)
-                    )
-        for q in queues:
-            for chunk in q:
-                for uidx in chunk:
-                    if uidx not in decided:
-                        decided[uidx] = (
-                            _unknown_budget(
-                                plan.uniques[uidx], policy.timeout
-                            ),
-                            None,
-                        )
-                        stats.budget_expired += 1
-    finally:
-        executor.shutdown(wait=True)
+        try:
+            hit = validated_hit(cache, unique.canon, instance, certify)
+            if hit is not None:
+                decided[uidx] = (hit, None)
+                continue
+            tasks.append(_prepassed_task(
+                uidx, unique.address, instance, "auto", registry,
+                prepass, portfolio,
+            ))
+        except Exception as e:  # noqa: BLE001 - one bad instance never sinks a batch
+            decided[uidx] = (None, _error_text(e))
+    # No cache here: every miss was already looked up above, and the
+    # store key is the batch's own canonical key, written below.
+    outcomes, _cancelled = run_tasks(
+        tasks, jobs, None, policy, run_deadline, certify,
+        pool=resolve_pool("auto", tasks, jobs), early_exit=False,
+    )
+    for uidx, got in outcomes.items():
+        stats.retries += got.attempts - 1
+        stats.quarantined += got.quarantined
+        if got.error is not None:
+            decided[uidx] = (None, _error_text(got.error))
+            continue
+        result = got.result
+        if result.unknown:
+            stats.budget_expired += result.unknown_reason == "budget"
+        else:
+            cache.store(plan.uniques[uidx].canon, result)
+        decided[uidx] = (result, None)
     return decided
 
 
@@ -581,9 +355,9 @@ def run_plan(
     )
     if cache is None:
         cache = ResultCache(store=store)
-    policy = resilience or NO_RESILIENCE
     decided = _run_uniques(
-        plan, jobs, cache, store, policy, certify, prepass, portfolio, stats
+        plan, jobs, cache, resilience or NO_RESILIENCE, certify, prepass,
+        portfolio, stats,
     )
     cache.flush_store()
 
@@ -741,7 +515,6 @@ def run_batch(
         store = cache.store_tier
     sources = load_sources(paths)
     plan = plan_batch(sources, store=store)
-    n_shards = store.n_shards if store is not None else DEFAULT_SHARDS
     report: dict[str, Any] = {
         "version": 1,
         "problem": "vmc",
@@ -765,7 +538,7 @@ def run_batch(
             "unique": len(plan.uniques),
             "dedup_ratio": round(plan.dedup_ratio, 4),
             "predicted_store_hits": plan.predicted_store_hits,
-            "text": plan.describe(jobs, n_shards),
+            "text": plan.describe(jobs),
         },
     }
     if dry_run:
@@ -819,8 +592,8 @@ def run_batch(
         "dedup_served": stats.dedup_served,
         "certified": stats.certified,
         "budget_expired": stats.budget_expired,
-        "chunk_retries": stats.chunk_retries,
-        "quarantined_chunks": stats.quarantined_chunks,
+        "retries": stats.retries,
+        "quarantined": stats.quarantined,
         "wall_s": round(perf_counter() - t0, 6),
     }
     if store is not None:

@@ -14,11 +14,12 @@ exploiting the per-address independence of coherence (paper Section 3):
   before anything is submitted, and stores worker results on
   completion.
 
-Submission is windowed (``2 × jobs`` tasks in flight) so an early exit
-has something left to cancel: after the first *violated* task the
-executor cancels every not-yet-started future, stops submitting, and
-counts the avoided work in ``EngineReport.cancelled``.  In-flight tasks
-are harvested so their results are not silently discarded.
+Submission is windowed (``WINDOW_PER_JOB × jobs`` tasks in flight) so
+an early exit has something left to cancel: after the first *violated*
+task the executor cancels every not-yet-started future, stops
+submitting, and counts the avoided work in ``EngineReport.cancelled``.
+In-flight tasks are harvested so their results are not silently
+discarded.
 
 Resilience (:class:`ResiliencePolicy`) hardens the run against the
 failure modes of long campaigns:
@@ -39,6 +40,11 @@ failure modes of long campaigns:
   crashes, stalls, lost results and slow cache I/O at exactly these
   seams, so tests can prove the above without real worker deaths.
 
+Every mode runs through one runner, :func:`run_tasks`, which keys its
+outcomes by ``task.order`` and keeps an engine exception in the failing
+task's outcome: :func:`execute_plan` re-raises it, while the batch
+engine (:mod:`repro.engine.batch`) turns it into that source's error.
+
 Verdicts are identical in all modes — every backend is deterministic
 and tasks share no state — though with ``early_exit`` the modes may
 *report* different subsets of per-address results for an incoherent
@@ -54,6 +60,7 @@ from dataclasses import dataclass
 from time import perf_counter
 
 from repro.core.result import VerificationResult
+from repro.engine.backend import Instance
 from repro.engine.cache import CanonicalInstance, ResultCache, canonicalize
 from repro.engine.certify import (
     CERTIFY_MODES,
@@ -79,6 +86,10 @@ RETRYABLE = (ChaosCrash, concurrent.futures.BrokenExecutor)
 #: Longest single retry-backoff sleep, so exponential backoff cannot
 #: dominate a run that has a wall-clock budget to respect.
 MAX_BACKOFF_S = 1.0
+
+#: Pool submissions in flight per worker: enough to keep every worker
+#: busy, few enough that an early exit has queued work left to cancel.
+WINDOW_PER_JOB = 2
 
 
 @dataclass(frozen=True)
@@ -108,14 +119,33 @@ NO_RESILIENCE = ResiliencePolicy()
 
 @dataclass
 class _Outcome:
-    """One task's execution record (richer than the public result)."""
+    """One task's execution record (richer than the public result).
 
-    result: VerificationResult
+    ``result`` is None exactly when the task raised ``error``: an
+    engine exception stays with its task instead of sinking the run.
+    """
+
+    result: VerificationResult | None
     cache_hit: bool
     seconds: float
     attempts: int = 1
     crashes: int = 0
     quarantined: bool = False
+    error: Exception | None = None
+
+    @property
+    def halts(self) -> bool:
+        """Whether this outcome ends an early-exiting run."""
+        return self.error is not None or self.result.violated
+
+
+def _captured(step, *args) -> _Outcome:
+    """Run one task step; an engine exception becomes the task's error
+    outcome rather than escaping the runner."""
+    try:
+        return step(*args)
+    except Exception as e:  # noqa: BLE001 - kept per task, see _Outcome
+        return _Outcome(None, False, 0.0, error=e)
 
 
 def _is_heavy(task: PlannedTask) -> bool:
@@ -359,6 +389,39 @@ def _finalize(
     return result
 
 
+def validated_hit(
+    cache: ResultCache,
+    canon: CanonicalInstance,
+    instance: Instance,
+    certify: str = "off",
+) -> VerificationResult | None:
+    """Look ``canon`` up in ``cache`` and serve the hit only if it
+    passes on-hit validation against ``instance``; None is a miss."""
+    hit = cache.lookup(canon)
+    if hit is None:
+        return None
+    hit.address = instance.address
+    # On-hit validation.  Witness hits are *always* re-replayed against
+    # the current execution — the cached schedule was computed for an
+    # isomorphic instance, and serving it unchecked would launder a
+    # stale or corrupted entry into a verdict.  Refutation certificates
+    # are re-checked whenever certification is enabled (their uids /
+    # variable numberings may not survive the isomorphism).  Any
+    # failure drops the entry and recomputes: a cache miss, never a
+    # wrong answer.
+    if hit.holds or certify != "off":
+        check = validate_result(
+            instance.execution, hit, instance.problem,
+            write_order=instance.write_order,
+        )
+        if not check:
+            cache.invalidate(canon)
+            return None
+        if certify != "off":
+            hit.stats["certified"] = True
+    return hit
+
+
 def _cache_lookup(
     task: PlannedTask,
     cache: ResultCache | None,
@@ -370,42 +433,7 @@ def _cache_lookup(
         return None, None
     if chaos is not None:
         chaos.on_cache_io(_task_key(task), "lookup")
-    hit = cache.lookup(canon)
-    if hit is None:
-        return canon, None
-    hit.address = task.address
-    # On-hit validation.  Witness hits are *always* re-replayed against
-    # the current execution — the cached schedule was computed for an
-    # isomorphic instance, and serving it unchecked would launder a
-    # stale or corrupted entry into a verdict.  Refutation certificates
-    # are re-checked whenever certification is enabled (their uids /
-    # variable numberings may not survive the isomorphism).  Any
-    # failure drops the entry and recomputes: a cache miss, never a
-    # wrong answer.
-    if hit.holds or certify != "off":
-        check = validate_result(
-            task.instance.execution, hit, task.instance.problem,
-            write_order=task.instance.write_order,
-        )
-        if not check:
-            cache.invalidate(canon)
-            return canon, None
-        if certify != "off":
-            hit.stats["certified"] = True
-    return canon, hit
-
-
-def run_task(
-    task: PlannedTask, cache: ResultCache | None, certify: str = "off"
-) -> tuple[VerificationResult, bool, float]:
-    """Decide one task, consulting ``cache`` first.
-
-    Returns ``(result, cache_hit, seconds)``.  The non-resilient entry
-    point kept for direct callers; the executor proper goes through
-    :func:`_run_task_resilient`.
-    """
-    out = _run_task_resilient(task, cache, NO_RESILIENCE, None, certify)
-    return out.result, out.cache_hit, out.seconds
+    return canon, validated_hit(cache, canon, task.instance, certify)
 
 
 def _run_task_resilient(
@@ -512,7 +540,6 @@ def execute_plan(
     policy = resilience or NO_RESILIENCE
     pool = resolve_pool(pool, tasks, jobs)
     start = perf_counter()
-    run_deadline = Deadline.after(policy.timeout)
     report = EngineReport(
         problem=problem, jobs=jobs, pool=pool, planned=len(tasks)
     )
@@ -520,27 +547,14 @@ def execute_plan(
     store_reval_before = (
         cache.stats.store_revalidation_failures if cache is not None else 0
     )
-    outcomes: dict[int, _Outcome] = {}
-
-    if jobs <= 1 or len(tasks) <= 1:
-        for task in tasks:
-            if run_deadline is not None and run_deadline.expired():
-                outcomes[task.order] = _unknown_outcome(
-                    task, "budget",
-                    f"run budget {policy.timeout:g}s exhausted before "
-                    f"the task started",
-                )
-                continue
-            outcomes[task.order] = _run_task_resilient(
-                task, cache, policy, run_deadline, certify
-            )
-            if early_exit and outcomes[task.order].result.violated:
-                break
-    else:
-        _run_pooled(
-            tasks, jobs, cache, early_exit, pool, outcomes, report,
-            policy, run_deadline, certify,
-        )
+    outcomes, report.cancelled = run_tasks(
+        tasks, jobs, cache, policy, Deadline.after(policy.timeout),
+        certify, pool, early_exit,
+    )
+    for task in tasks:
+        got = outcomes.get(task.order)
+        if got is not None and got.error is not None:
+            raise got.error
 
     results: dict = {}
     violated = False
@@ -627,6 +641,48 @@ def execute_plan(
     return results, report
 
 
+def run_tasks(
+    tasks: list[PlannedTask],
+    jobs: int,
+    cache: ResultCache | None,
+    policy: ResiliencePolicy,
+    run_deadline: Deadline | None,
+    certify: str = "off",
+    pool: str = "thread",
+    early_exit: bool = True,
+) -> tuple[dict[int, _Outcome], int]:
+    """The one serial/pooled runner behind every engine run.
+
+    Decides ``tasks`` (serially in plan order for ``jobs=1``, else on a
+    ``pool`` of ``jobs`` workers) under ``policy`` and the shared
+    ``run_deadline``.  Returns ``(outcomes, cancelled)``: outcomes keyed
+    by ``task.order`` — tasks skipped by an early exit are absent — and
+    the count of tasks the early exit prevented from running.  An
+    engine exception is kept in its task's outcome, never raised here.
+    """
+    outcomes: dict[int, _Outcome] = {}
+    if jobs > 1 and len(tasks) > 1:
+        cancelled = _run_pooled(
+            tasks, jobs, cache, early_exit, pool, outcomes,
+            policy, run_deadline, certify,
+        )
+        return outcomes, cancelled
+    for task in tasks:
+        if run_deadline is not None and run_deadline.expired():
+            outcomes[task.order] = _unknown_outcome(
+                task, "budget",
+                f"run budget {policy.timeout:g}s exhausted before "
+                f"the task started",
+            )
+            continue
+        outcomes[task.order] = _captured(
+            _run_task_resilient, task, cache, policy, run_deadline, certify
+        )
+        if early_exit and outcomes[task.order].halts:
+            break
+    return outcomes, 0
+
+
 def _aggregate_portfolio(
     tasks: list[PlannedTask],
     outcomes: dict[int, _Outcome],
@@ -672,12 +728,12 @@ def _run_pooled(
     early_exit: bool,
     pool: str,
     outcomes: dict[int, _Outcome],
-    report: EngineReport,
     policy: ResiliencePolicy,
     run_deadline: Deadline | None,
     certify: str = "off",
-) -> None:
-    """Windowed pool execution shared by both pool kinds.
+) -> int:
+    """Windowed pool execution shared by both pool kinds; returns the
+    number of tasks an early exit prevented from running.
 
     Cache lookups, cache stores, and pre-pass-decided tasks are handled
     in the parent — the cache's lock does not pickle, and a decided
@@ -698,7 +754,7 @@ def _run_pooled(
         else concurrent.futures.ThreadPoolExecutor
     )
     max_workers = min(jobs, len(tasks))
-    window = 2 * jobs
+    window = WINDOW_PER_JOB * jobs
     chaos = policy.chaos
     # (task, attempt, crashes) triples; retries re-enter at the front.
     pending: deque[tuple[PlannedTask, int, int]] = deque(
@@ -708,36 +764,46 @@ def _run_pooled(
         concurrent.futures.Future,
         tuple[PlannedTask, CanonicalInstance | None, int, int],
     ] = {}
-    violated = False
+    cancelled = 0
+    halted = False
     budget_out = False
+
+    def decided_in_parent(task, canon, attempt) -> _Outcome:
+        # Decided in the parent, so chaos must not ride into
+        # _decide_task (an injected crash would surface here as a hard
+        # error, not a retryable worker death); the semantic faults
+        # still apply, explicitly.
+        result, seconds = _decide_task(task, certify=certify)
+        if chaos is not None and not result.unknown:
+            result = tamper_result(chaos, _task_key(task), attempt, result)
+        result = _finalize(task, canon, result, cache, chaos, certify)
+        return _Outcome(result, False, seconds)
+
+    def harvested(task, canon, fut, attempt, crashes) -> _Outcome:
+        result, seconds = fut.result()
+        result = _finalize(task, canon, result, cache, chaos, certify)
+        return _Outcome(
+            result, False, seconds, attempts=attempt + 1, crashes=crashes
+        )
+
     executor = executor_cls(max_workers=max_workers)
     try:
-        while (pending or in_flight) and not violated:
+        while (pending or in_flight) and not halted:
             if run_deadline is not None and run_deadline.expired():
                 budget_out = True
                 break
-            while pending and len(in_flight) < window and not violated:
+            while pending and len(in_flight) < window and not halted:
                 task, attempt, crashes = pending.popleft()
                 canon, hit = _cache_lookup(task, cache, chaos, certify)
                 if hit is not None:
                     outcomes[task.order] = _Outcome(hit, True, 0.0)
-                    violated = early_exit and hit.violated
+                    halted = early_exit and hit.violated
                     continue
                 if task.prepass is not None and task.prepass.decided is not None:
-                    # Decided in the parent, so chaos must not ride into
-                    # _decide_task (an injected crash would surface here
-                    # as a hard error, not a retryable worker death);
-                    # the semantic faults still apply, explicitly.
-                    result, seconds = _decide_task(task, certify=certify)
-                    if chaos is not None and not result.unknown:
-                        result = tamper_result(
-                            chaos, _task_key(task), attempt, result
-                        )
-                    result = _finalize(
-                        task, canon, result, cache, chaos, certify
+                    outcomes[task.order] = _captured(
+                        decided_in_parent, task, canon, attempt
                     )
-                    outcomes[task.order] = _Outcome(result, False, seconds)
-                    violated = early_exit and result.violated
+                    halted = early_exit and outcomes[task.order].halts
                     continue
                 timeout, reason = _effective_timeout(policy, run_deadline)
                 fut = executor.submit(
@@ -745,7 +811,7 @@ def _run_pooled(
                     certify,
                 )
                 in_flight[fut] = (task, canon, attempt, crashes)
-            if violated or not in_flight:
+            if halted or not in_flight:
                 continue
             wait_s = (
                 None if run_deadline is None
@@ -757,69 +823,67 @@ def _run_pooled(
                 return_when=concurrent.futures.FIRST_COMPLETED,
             )
             for fut in done:
+                if fut not in in_flight:
+                    continue  # requeued by a pool rebuild above
                 task, canon, attempt, crashes = in_flight.pop(fut)
-                try:
-                    result, seconds = fut.result()
-                    if chaos is not None and chaos.loses_result(
-                        _task_key(task), attempt
-                    ):
-                        raise _LostResult(_task_key(task))
-                except RETRYABLE + (_LostResult,) as e:
-                    crashes += 1
-                    if isinstance(e, concurrent.futures.BrokenExecutor):
-                        # The pool is dead: rebuild it and requeue every
-                        # in-flight task — their futures are broken too.
-                        executor.shutdown(wait=False, cancel_futures=True)
-                        executor = executor_cls(max_workers=max_workers)
-                        for other in list(in_flight):
-                            t2, _c2, a2, cr2 = in_flight.pop(other)
-                            pending.appendleft((t2, a2 + 1, cr2 + 1))
-                    if attempt >= policy.retries:
-                        outcomes[task.order] = _quarantine(
-                            task, cache, policy, run_deadline,
-                            attempt + 1, crashes, certify,
-                        )
-                        violated = (
-                            early_exit and outcomes[task.order].result.violated
-                        )
-                    else:
-                        _backoff(policy, attempt, run_deadline)
-                        pending.appendleft((task, attempt + 1, crashes))
+                e = fut.exception()
+                if e is None and chaos is not None and chaos.loses_result(
+                    _task_key(task), attempt
+                ):
+                    e = _LostResult(_task_key(task))
+                if not isinstance(e, RETRYABLE + (_LostResult,)):
+                    outcomes[task.order] = _captured(
+                        harvested, task, canon, fut, attempt, crashes
+                    )
+                    halted = halted or (
+                        early_exit and outcomes[task.order].halts
+                    )
                     continue
-                result = _finalize(task, canon, result, cache, chaos, certify)
-                outcomes[task.order] = _Outcome(
-                    result, False, seconds,
-                    attempts=attempt + 1, crashes=crashes,
-                )
-                if early_exit and result.violated:
-                    violated = True
-        if violated or budget_out:
+                crashes += 1
+                if isinstance(e, concurrent.futures.BrokenExecutor):
+                    # The pool is dead: rebuild it and requeue every
+                    # in-flight task — their futures are broken too.
+                    executor.shutdown(wait=False, cancel_futures=True)
+                    executor = executor_cls(max_workers=max_workers)
+                    for other in list(in_flight):
+                        t2, _c2, a2, cr2 = in_flight.pop(other)
+                        pending.appendleft((t2, a2 + 1, cr2 + 1))
+                if attempt >= policy.retries:
+                    outcomes[task.order] = _captured(
+                        _quarantine, task, cache, policy, run_deadline,
+                        attempt + 1, crashes, certify,
+                    )
+                    halted = halted or (
+                        early_exit and outcomes[task.order].halts
+                    )
+                else:
+                    _backoff(policy, attempt, run_deadline)
+                    pending.appendleft((task, attempt + 1, crashes))
+        if halted or budget_out:
             # Cancel whatever has not started; count never-submitted
             # tasks too — both are work the exit avoided.
             for fut in list(in_flight):
                 if fut.cancel():
-                    report.cancelled += 1
+                    cancelled += 1
                     del in_flight[fut]
-            if violated:
-                report.cancelled += len(pending)
+            if halted:
+                cancelled += len(pending)
             # In-flight tasks finish during pool shutdown (their worker-
             # side deadlines are capped by the run budget, so this is
             # bounded); harvest them so results are not discarded.
             for fut, (task, canon, attempt, crashes) in list(in_flight.items()):
                 try:
-                    result, seconds = fut.result()
+                    e = fut.exception()
                 except concurrent.futures.CancelledError:
                     continue
-                except RETRYABLE + (_LostResult,):
+                if isinstance(e, RETRYABLE):
                     outcomes[task.order] = _unknown_outcome(
                         task, "crashed", "worker died during wind-down",
                         attempts=attempt + 1, crashes=crashes + 1,
                     )
                     continue
-                result = _finalize(task, canon, result, cache, chaos, certify)
-                outcomes[task.order] = _Outcome(
-                    result, False, seconds,
-                    attempts=attempt + 1, crashes=crashes,
+                outcomes[task.order] = _captured(
+                    harvested, task, canon, fut, attempt, crashes
                 )
             if budget_out:
                 # Tasks that never ran (queued or cancelled on the pool)
@@ -839,3 +903,4 @@ def _run_pooled(
         raise
     finally:
         executor.shutdown(wait=True, cancel_futures=True)
+    return cancelled

@@ -4,8 +4,8 @@ The acceptance property is *differential*: a 150+-execution corpus
 decided cold (empty store), warm (second pass over the same store) and
 with the store disabled must produce identical verdicts, identical
 certificates, and identical witness schedules — persistence is a pure
-performance layer.  ``REPRO_BATCH_JOBS`` (default 2) sizes the real
-process-pool differential.
+performance layer.  ``REPRO_BATCH_JOBS`` (default 2) sizes the pooled
+differential.
 """
 
 from __future__ import annotations
@@ -27,11 +27,31 @@ from repro.engine import (
     run_batch,
     verify_many,
 )
-from repro.engine.batch import CHUNK_SIZE, _bucketize, load_sources
+from repro.engine import executor, planner
+from repro.engine.batch import load_sources
 from repro.engine.store import ResultStore
 from tests.conftest import make_coherent_execution
 
 BATCH_JOBS = int(os.environ.get("REPRO_BATCH_JOBS", "2"))
+
+#: A value only the poisoned trace of the error-capture test writes.
+POISON = 77
+
+#: The real decide step; saved at import so the poisoned stand-in
+#: below can delegate to it in pool workers too.
+_DECIDE = executor._decide_task
+
+
+def _poisoned_decide(task, *args, **kwargs):
+    """``_decide_task`` that raises a non-retryable engine error on the
+    one instance writing ``POISON``.  Module-level, so a process pool
+    can ship it to its workers."""
+    if any(
+        op.value_written == POISON
+        for op in task.instance.execution.all_ops()
+    ):
+        raise RuntimeError("poisoned instance")
+    return _DECIDE(task, *args, **kwargs)
 
 
 def _corrupt(ex: Execution) -> Execution | None:
@@ -117,22 +137,6 @@ class TestPlan:
         plan = plan_batch([("a", ex, None)], store=store)
         assert plan.predicted_store_hits == 1
 
-    def test_buckets_map_shards_disjointly(self):
-        class FakeUnique:
-            def __init__(self, b):
-                self.fp = bytes([b]) + b"\0" * 31
-
-        uniques = [FakeUnique(b) for b in range(64)]
-        for jobs in (1, 2, 3, 5):
-            buckets = _bucketize(uniques, jobs, 16)
-            assert len(buckets) == jobs
-            owner = {}
-            for w, bucket in enumerate(buckets):
-                for i in bucket:
-                    shard = uniques[i].fp[0] % 16
-                    assert owner.setdefault(shard, w) == w
-            assert sum(len(b) for b in buckets) == len(uniques)
-
 
 class TestVerifyMany:
     def test_verdicts_and_provenance(self):
@@ -176,6 +180,65 @@ class TestVerifyMany:
         assert good.verdict == "holds"
         assert bad.verdict == "VIOLATED"
 
+    @pytest.mark.parametrize("jobs", sorted({1, BATCH_JOBS}))
+    def test_engine_error_stays_with_its_source(self, monkeypatch, jobs):
+        """A unique whose decide raises becomes its own source's error;
+        every other source keeps its verdict, including one with a
+        different instance under the same address label."""
+        monkeypatch.setattr(executor, "_decide_task", _poisoned_decide)
+        poisoned = parse_trace(f"P0: W(x,{POISON}) R(x,{POISON})")
+        same_label = parse_trace("P0: W(x,1) W(x,2) R(x,2)")
+        twin = parse_trace("P0: W(z,1) W(z,2) R(z,2)")  # dedups onto it
+        bad = parse_trace("P0: W(y,1)\nP1: R(y,99)")
+        outcomes = verify_many(
+            [poisoned, same_label, twin, bad], jobs=jobs, certify="on"
+        )
+        assert [o.verdict for o in outcomes] == [
+            "error", "holds", "holds", "VIOLATED",
+        ]
+        assert "RuntimeError: poisoned instance" in outcomes[0].error
+        assert outcomes[1].result.per_address["x"].holds
+        assert outcomes[2].provenance == {"dedup": 1}
+        assert all(o.error is None for o in outcomes[1:])
+
+    @pytest.mark.parametrize("jobs", sorted({1, BATCH_JOBS}))
+    def test_warm_store_hits_skip_the_prepass(
+        self, tmp_path, monkeypatch, jobs
+    ):
+        """The warm-store fast path: a validated store hit is served
+        before the pre-pass would run on its instance."""
+        corpus = _corpus(10)
+        prepassed = []
+
+        def counting(instance):
+            prepassed.append(instance)
+            return prepass_vmc(instance)
+
+        prepass_vmc = planner.prepass_vmc
+        monkeypatch.setattr(planner, "prepass_vmc", counting)
+        cold = verify_many(
+            corpus, jobs=jobs, store=ResultStore(tmp_path / "store"),
+            certify="on",
+        )
+        assert prepassed, "corpus must reach the exponential tier"
+
+        def refuse(instance):
+            raise AssertionError("pre-pass ran on a warm store hit")
+
+        monkeypatch.setattr(planner, "prepass_vmc", refuse)
+        warm_cache = ResultCache(store=ResultStore(tmp_path / "store"))
+        warm = verify_many(
+            corpus, jobs=jobs, cache=warm_cache, certify="on"
+        )
+        assert not any(o.error for o in cold + warm)
+        assert [o.verdict for o in warm] == [o.verdict for o in cold]
+        served = sum(o.provenance.get("store", 0) for o in warm)
+        assert served == sum(o.provenance.get("solved", 0) for o in cold)
+        assert all(
+            set(o.provenance) <= {"store", "dedup"} for o in warm
+        )
+        assert warm_cache.stats.store_revalidation_failures == 0
+
 
 class TestDifferentialColdWarmDisabled:
     """The ISSUE's acceptance differential, 150+ executions."""
@@ -212,9 +275,8 @@ class TestDifferentialColdWarmDisabled:
         ) == 0
 
     def test_jobs_differential(self, tmp_path):
-        """A real process pool agrees with the serial path verdict for
-        verdict, and its workers' store writes land in the shared
-        store."""
+        """The pooled path agrees with the serial path verdict for
+        verdict, and its results land in the shared store."""
         corpus = _corpus(20)
         labels = [f"ex{i}" for i in range(len(corpus))]
         serial = verify_many(corpus, labels=labels, certify="on")
@@ -402,6 +464,31 @@ class TestBatchCLI:
         assert rc == 0
         assert "holds" in capsys.readouterr().out
 
+    def test_campaign_cold_then_warm_certified(self, tmp_path):
+        """A store-backed campaign at pool width ``REPRO_BATCH_JOBS``:
+        cold, then warm with ``--certify on``; both runs exit clean and
+        the certified report has no violations and no errors."""
+        traces = tmp_path / "traces"
+        traces.mkdir()
+        for seed in range(12):
+            ex, _ = make_coherent_execution(
+                n_ops=40, nproc=4, seed=seed, addresses=("x", "y")
+            )
+            save(ex, traces / f"t{seed}.json")
+        args = [
+            "batch", str(traces), "--store", str(tmp_path / "store"),
+            "--jobs", str(BATCH_JOBS), "--stats",
+        ]
+        assert main(args) == 0
+        report_path = tmp_path / "report.json"
+        assert main(
+            args + ["--certify", "on", "--json", str(report_path)]
+        ) == 0
+        totals = json.loads(report_path.read_text())["totals"]
+        assert totals["violated"] == 0, totals
+        assert totals["errors"] == 0, totals
+        assert totals["store_hits"] == totals["unique"], totals
+
     def test_verify_accepts_store(self, trace_dir, tmp_path, capsys):
         trace = str(trace_dir / "a.json")
         store = str(tmp_path / "store")
@@ -418,7 +505,3 @@ class TestBatchCLI:
         ])
         assert rc == 2
         assert "store" in capsys.readouterr().err
-
-
-def test_chunk_size_sane():
-    assert 1 <= CHUNK_SIZE <= 64

@@ -1,11 +1,41 @@
 """The executor: serial/parallel equivalence, early exit, reporting."""
 
+import os
+import time
+
 import pytest
 
 from tests.conftest import make_coherent_execution
 from repro.core.builder import ExecutionBuilder
 from repro.core.types import Execution, OpKind, Operation
-from repro.engine import execute_plan, plan_vmc, verify_vmc
+from repro.engine import (
+    ResiliencePolicy,
+    execute_plan,
+    executor,
+    plan_vmc,
+    verify_vmc,
+)
+
+#: The real decide step, saved so the stand-ins below can delegate to
+#: it inside pool workers too.
+_DECIDE = executor._decide_task
+
+
+def _raising_decide(task, *args, **kwargs):
+    if task.address == "b":
+        raise RuntimeError("engine bug")
+    return _DECIDE(task, *args, **kwargs)
+
+
+def _killing_decide(task, timeout=None, chaos=None, attempt=0, *args,
+                    **kwargs):
+    """Kill the worker process on task ``x``'s first attempt while the
+    other tasks are still running on their workers."""
+    if task.address == "x" and attempt == 0:
+        time.sleep(0.1)
+        os._exit(1)
+    time.sleep(0.2)
+    return _DECIDE(task, timeout, chaos, attempt, *args, **kwargs)
 
 
 def _multi_address_corpus():
@@ -125,3 +155,28 @@ class TestExecutePlan:
         used = result.report.backends_used
         assert used.get("single-op") == 1
         assert used.get("readmap") == 2
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_engine_error_raises(self, monkeypatch, jobs):
+        """A task's engine exception is kept per task inside the runner
+        but still raised to ``execute_plan``'s caller."""
+        monkeypatch.setattr(executor, "_decide_task", _raising_decide)
+        tasks = plan_vmc(_bad_cheap_plus_expensive_good())
+        with pytest.raises(RuntimeError, match="engine bug"):
+            execute_plan(tasks, jobs=jobs, early_exit=False, pool="thread")
+
+    def test_worker_death_breaks_every_future_in_flight(self, monkeypatch):
+        """A dead worker breaks all in-flight futures at once: each is
+        requeued exactly once and every task is still decided."""
+        monkeypatch.setattr(executor, "_decide_task", _killing_decide)
+        ex, _ = make_coherent_execution(
+            12, 3, 17, addresses=("x", "y", "z", "w"), num_values=3
+        )
+        tasks = plan_vmc(ex, prepass=False, portfolio=False)
+        results, report = execute_plan(
+            tasks, jobs=3, pool="process", early_exit=False,
+            resilience=ResiliencePolicy(backoff_s=0.0),
+        )
+        assert set(results) == {"x", "y", "z", "w"}
+        assert all(r.holds and not r.unknown for r in results.values())
+        assert report.crashes >= 2
