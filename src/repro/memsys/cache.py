@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 from repro.memsys.protocol import LineState
 
+_INVALID = LineState.INVALID
+
 
 @dataclass
 class CacheLine:
@@ -74,21 +76,20 @@ class Cache:
     # -- lookup / install -------------------------------------------------
     def find(self, addr: int) -> CacheLine | None:
         """The valid line holding ``addr``, or None (touches LRU)."""
-        s = self.set_index(addr)
-        t = self.tag(addr)
-        for line in self.sets[s]:
-            if line.valid and line.tag == t:
-                self._tick += 1
-                line.lru = self._tick
-                return line
-        return None
+        line = self.peek(addr)
+        if line is not None:
+            self._tick += 1
+            line.lru = self._tick
+        return line
 
     def peek(self, addr: int) -> CacheLine | None:
         """Like :meth:`find` but without touching LRU (for snoops)."""
-        s = self.set_index(addr)
-        t = self.tag(addr)
-        for line in self.sets[s]:
-            if line.valid and line.tag == t:
+        # set_index() and tag() inlined: this is the simulators' hottest
+        # lookup.
+        line_id = addr // self.line_words
+        t = line_id // self.num_sets
+        for line in self.sets[line_id % self.num_sets]:
+            if line.tag == t and line.state is not _INVALID:
                 return line
         return None
 

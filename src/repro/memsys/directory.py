@@ -57,7 +57,12 @@ from dataclasses import dataclass, field
 
 from repro.core.types import INITIAL
 from repro.memsys.cache import Cache, CacheLine
-from repro.memsys.faults import FaultConfig, FaultInjector, FaultKind
+from repro.memsys.faults import (
+    FaultConfig,
+    FaultInjector,
+    FaultKind,
+    corrupt_write_orders,
+)
 from repro.memsys.interconnect import (
     Endpoint,
     Interconnect,
@@ -237,10 +242,12 @@ class DirectorySystem:
     # Main loop
     # ------------------------------------------------------------------
     def _quiescent(self) -> bool:
+        # Cheapest first: a message in flight or a transaction open
+        # decides it in O(1) on almost every busy tick.
         return (
-            all(p.done for p in self.processors)
-            and all(t is None for t in self.txns)
-            and self.network.pending() == 0
+            self.network.pending() == 0
+            and self.txns.count(None) == len(self.txns)
+            and all(p.done for p in self.processors)
             and not any(e.busy for e in self.directory.values())
         )
 
@@ -255,8 +262,13 @@ class DirectorySystem:
                 self._home_handle(msg)
             else:
                 self._core_handle(msg.dst[1], msg)
+        txns = self.txns
         for p in self._schedule_order():
-            self._core_advance(p)
+            txn = txns[p]
+            if txn is None:
+                self._core_advance(p)
+            elif txn.retry_at is not None and self.tick >= txn.retry_at:
+                self._resend(p, txn)
         self._check_timeouts()
         return True
 
@@ -282,8 +294,6 @@ class DirectorySystem:
         execution = self.recorder.build_execution(
             initial=self._initial_snapshot, final=final
         )
-        from repro.memsys.faults import corrupt_write_orders
-
         write_orders = corrupt_write_orders(
             self.recorder.write_orders, self.injector, self.tick
         )
@@ -316,17 +326,13 @@ class DirectorySystem:
     # Core side: issue, commit, message handling
     # ------------------------------------------------------------------
     def _core_advance(self, p: int) -> None:
-        """One action for core ``p`` this tick: resend a backed-off
-        request, or commit a hit, or issue a miss."""
-        txn = self.txns[p]
-        if txn is not None:
-            if txn.retry_at is not None and self.tick >= txn.retry_at:
-                self._resend(p, txn)
-            return
+        """One action for idle core ``p`` (no transaction open) this
+        tick: commit a hit, or issue a miss.  :meth:`step` resends a
+        blocked core's backed-off request itself."""
         proc = self.processors[p]
-        if proc.done:
+        if proc.pc >= len(proc.script):
             return
-        op = proc.current()
+        op = proc.script[proc.pc]
         cache = self.caches[p]
         line = cache.find(op.addr)
         if op.kind is ScriptKind.LOAD:
@@ -423,17 +429,11 @@ class DirectorySystem:
         victim.data = {}
 
     def _core_handle(self, p: int, msg: Message) -> None:
-        handler = {
-            MessageType.DATA: self._core_on_data,
-            MessageType.NACK: self._core_on_nack,
-            MessageType.INV: self._core_on_inv,
-            MessageType.FWD_GETS: self._core_on_fwd,
-            MessageType.FWD_GETM: self._core_on_fwd,
-        }.get(msg.mtype)
+        handler = self._CORE_HANDLERS.get(msg.mtype)
         if handler is None:
             self.dir_stats.stale_messages_dropped += 1
             return
-        handler(p, msg)
+        handler(self, p, msg)
 
     def _core_on_data(self, p: int, msg: Message) -> None:
         txn = self.txns[p]
@@ -531,26 +531,34 @@ class DirectorySystem:
             line.data = {}
             cache.stats.invalidations_received += 1
 
+    # Dispatch tables, built once with the class.  Plain functions, not
+    # bound methods: a table of bound methods on the instance would be
+    # a reference cycle that keeps every finished system alive until
+    # the cyclic collector runs.
+    _CORE_HANDLERS = {
+        MessageType.DATA: _core_on_data,
+        MessageType.NACK: _core_on_nack,
+        MessageType.INV: _core_on_inv,
+        MessageType.FWD_GETS: _core_on_fwd,
+        MessageType.FWD_GETM: _core_on_fwd,
+    }
+
     # ------------------------------------------------------------------
     # Home side
     # ------------------------------------------------------------------
     def _home_handle(self, msg: Message) -> None:
-        handler = {
-            MessageType.GETS: self._home_on_request,
-            MessageType.GETM: self._home_on_request,
-            MessageType.INV_ACK: self._home_on_inv_ack,
-            MessageType.DATA_WB: self._home_on_data_wb,
-            MessageType.PUTM: self._home_on_putm,
-        }.get(msg.mtype)
+        handler = self._HOME_HANDLERS.get(msg.mtype)
         if handler is None:
             self.dir_stats.stale_messages_dropped += 1
             return
-        handler(msg)
+        handler(self, msg)
 
     def _maybe_corrupt_entry(self, entry: DirectoryEntry, base: int) -> None:
         """DIR_STATE_CORRUPT site: bit-rot in the directory SRAM."""
         if entry.state is DirState.UNCACHED:
             return  # nothing to corrupt
+        if FaultKind.DIR_STATE_CORRUPT not in self.injector.live:
+            return
         if entry.state is DirState.MODIFIED:
             if self.injector.fire(
                 FaultKind.DIR_STATE_CORRUPT, self.tick, -1, base,
@@ -703,8 +711,9 @@ class DirectorySystem:
         """Write owner data back to memory unless the writeback race
         corrupts it (WB_RACE_CORRUPT site)."""
         self.dir_stats.writebacks_received += 1
-        if self.injector.fire(
-            FaultKind.WB_RACE_CORRUPT, self.tick, q, base,
+        site = FaultKind.WB_RACE_CORRUPT
+        if site in self.injector.live and self.injector.fire(
+            site, self.tick, q, base,
             detail=f"{what} data discarded by writeback race",
         ):
             return
@@ -759,19 +768,28 @@ class DirectorySystem:
             return
         self.dir_stats.stale_messages_dropped += 1
 
+    _HOME_HANDLERS = {
+        MessageType.GETS: _home_on_request,
+        MessageType.GETM: _home_on_request,
+        MessageType.INV_ACK: _home_on_inv_ack,
+        MessageType.DATA_WB: _home_on_data_wb,
+        MessageType.PUTM: _home_on_putm,
+    }
+
     # ------------------------------------------------------------------
     # Watchdogs
     # ------------------------------------------------------------------
     def _check_timeouts(self) -> None:
+        tick = self.tick
         for p, txn in enumerate(self.txns):
             if txn is None or txn.retry_at is not None:
                 continue
-            if self.tick - txn.issued > REQUEST_TIMEOUT:
+            if tick - txn.issued > REQUEST_TIMEOUT:
                 self.dir_stats.request_timeouts += 1
                 self._resend(p, txn)
         for base, entry in self.directory.items():
             busy = entry.busy
-            if busy is None or self.tick - busy.started <= BUSY_TIMEOUT:
+            if busy is None or tick - busy.started <= BUSY_TIMEOUT:
                 continue
             if busy.kind == "inv":
                 # Acks never arrived (dropped Inv or dropped ack): force

@@ -250,31 +250,41 @@ class FaultSpec:
 
 
 class FaultInjector:
-    """Decides, opportunity by opportunity, whether a fault fires."""
+    """Decides, opportunity by opportunity, whether a fault fires.
+
+    Per-site rates are resolved once, here.  ``live`` is the set of
+    sites that can still fire: every site with a rate above zero, until
+    ``max_events`` injections have been made, then none.  It is empty
+    for :meth:`FaultConfig.none`.  A site outside ``live`` never draws a
+    random number, so callers test ``site in injector.live`` before
+    paying for anything else (a detail string, say) and the draws of
+    the live sites stay exactly where they were.
+    """
 
     def __init__(self, config: FaultConfig):
         self.config = config
         self.rng = make_rng(config.seed)
         self.events: list[FaultEvent] = []
-
-    def _armed(self, kind: FaultKind) -> bool:
-        rate = self.config.rate_for(kind)
-        if rate <= 0.0:
-            return False
-        if (
-            self.config.max_events is not None
-            and len(self.events) >= self.config.max_events
-        ):
-            return False
-        return self.rng.random() < rate
+        rates = {kind: config.rate_for(kind) for kind in FaultKind}
+        self._rates = {kind: rate for kind, rate in rates.items() if rate > 0.0}
+        capped = config.max_events is not None and config.max_events <= 0
+        self.live: frozenset[FaultKind] = (
+            frozenset() if capped else frozenset(self._rates)
+        )
 
     def fire(
         self, kind: FaultKind, step: int, proc: int, addr: int, detail: str = ""
     ) -> bool:
         """Roll the dice for one opportunity; record and report."""
-        if not self._armed(kind):
+        live = self.live
+        if not live or kind not in live:
+            return False
+        if self.rng.random() >= self._rates[kind]:
             return False
         self.events.append(FaultEvent(kind, step, proc, addr, detail))
+        cap = self.config.max_events
+        if cap is not None and len(self.events) >= cap:
+            self.live = frozenset()
         return True
 
     def corrupt(self, value: object) -> object:
@@ -296,13 +306,14 @@ def corrupt_write_orders(
     Called by the systems just before packaging a RunResult; models the
     reporting path (not the data path) failing.
     """
+    site = FaultKind.REORDERED_SERIALIZATION
     out = {}
     for addr, order in write_orders.items():
         order = list(order)
         i = 0
-        while i + 1 < len(order):
+        while i + 1 < len(order) and site in injector.live:
             if injector.fire(
-                FaultKind.REORDERED_SERIALIZATION,
+                site,
                 step,
                 order[i].proc,
                 addr,

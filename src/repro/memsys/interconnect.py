@@ -37,6 +37,18 @@ from repro.util.rng import make_rng
 #: Endpoint ids: ``("core", i)`` or ``("home", j)``.
 Endpoint = tuple[str, int]
 
+#: The fault sites :meth:`Interconnect.send` fires; while none of them
+#: is live, a send formats no detail and makes no fault draw.
+LINK_FAULTS: frozenset[FaultKind] = frozenset(
+    {
+        FaultKind.DROPPED_INV_ACK,
+        FaultKind.DROPPED_MSG,
+        FaultKind.DELAYED_MSG,
+        FaultKind.REORDERED_MSG,
+        FaultKind.DUPLICATED_MSG,
+    }
+)
+
 
 class MessageType(enum.Enum):
     GETS = "GetS"  # core -> home: read miss, want Shared
@@ -56,16 +68,15 @@ class Message:
     """One coherence message.  ``addr`` is the line base address,
     ``txn`` the requester-side transaction id (so stale replies from a
     timed-out attempt can be recognized and dropped), ``data`` the line
-    payload where the type carries one, ``acks`` the inv-ack count a
-    DATA grant tells the requester to expect (unused here — the home
-    collects acks itself — kept for protocol-shape clarity)."""
+    payload ({word offset -> value}) where the type carries one, and
+    ``detail`` what a DATA grant grants (``"shared"``/``"modified"``)."""
 
     mtype: MessageType
     src: Endpoint
     dst: Endpoint
     addr: int
     txn: int = 0
-    data: list | None = None
+    data: dict[int, object] | None = None
     detail: str = ""
 
 
@@ -208,56 +219,54 @@ class Interconnect:
         self.stats.by_type[key] = self.stats.by_type.get(key, 0) + 1
 
         inj = self.injector
-        proc = msg.src[1] if msg.src[0] == "core" else (
-            msg.dst[1] if msg.dst[0] == "core" else -1
-        )
-        if inj is not None:
-            if msg.mtype is MessageType.INV_ACK and inj.fire(
-                FaultKind.DROPPED_INV_ACK, now, proc, msg.addr,
-                detail=f"inv-ack {msg.src}->{msg.dst} lost",
-            ):
-                self.stats.dropped += 1
-                return
-            if inj.fire(
-                FaultKind.DROPPED_MSG, now, proc, msg.addr,
-                detail=f"{key} {msg.src}->{msg.dst} lost",
-            ):
-                self.stats.dropped += 1
-                return
+        faulty = inj is not None and not LINK_FAULTS.isdisjoint(inj.live)
+        if faulty and (
+            (
+                msg.mtype is MessageType.INV_ACK
+                and self._fire(FaultKind.DROPPED_INV_ACK, msg, now, "inv-ack", "lost")
+            )
+            or self._fire(FaultKind.DROPPED_MSG, msg, now, key, "lost")
+        ):
+            self.stats.dropped += 1
+            return
 
         arrival = now + 1 + self.delay_model.delay(msg.src, msg.dst, self.rng)
         link = (msg.src, msg.dst)
 
-        if inj is not None and inj.fire(
-            FaultKind.DELAYED_MSG, now, proc, msg.addr,
-            detail=f"{key} {msg.src}->{msg.dst} delayed",
-        ):
+        if faulty and self._fire(FaultKind.DELAYED_MSG, msg, now, key, "delayed"):
             arrival += 5 + self.rng.randint(0, 10)
             self.stats.delayed += 1
 
-        reorder = inj is not None and inj.fire(
-            FaultKind.REORDERED_MSG, now, proc, msg.addr,
-            detail=f"{key} {msg.src}->{msg.dst} overtaken on link",
-        )
-        if self.fifo and not reorder:
-            arrival = max(arrival, self._last_arrival.get(link, 0))
-        elif reorder:
+        last = self._last_arrival.get(link, 0)
+        if faulty and self._fire(
+            FaultKind.REORDERED_MSG, msg, now, key, "overtaken on link"
+        ):
             # Slip behind whatever is already queued on this link.
-            arrival = max(arrival, self._last_arrival.get(link, 0)) + 1 + \
-                self.rng.randint(0, 3)
+            arrival = max(arrival, last) + 1 + self.rng.randint(0, 3)
             self.stats.reordered += 1
-        self._last_arrival[link] = max(self._last_arrival.get(link, 0), arrival)
+        elif self.fifo and arrival < last:
+            arrival = last
+        self._last_arrival[link] = max(last, arrival)
 
         self._push(arrival, msg)
 
-        if inj is not None and inj.fire(
-            FaultKind.DUPLICATED_MSG, now, proc, msg.addr,
-            detail=f"{key} {msg.src}->{msg.dst} duplicated",
-        ):
+        if faulty and self._fire(FaultKind.DUPLICATED_MSG, msg, now, key, "duplicated"):
             dup_arrival = arrival + 1 + self.rng.randint(0, 3)
             self._last_arrival[link] = max(self._last_arrival[link], dup_arrival)
             self._push(dup_arrival, msg)
             self.stats.duplicated += 1
+
+    def _fire(
+        self, kind: FaultKind, msg: Message, now: int, what: str, effect: str
+    ) -> bool:
+        """One link-site opportunity for ``msg``.  The event's detail is
+        formatted only when the site is live."""
+        inj = self.injector
+        if kind not in inj.live:
+            return False
+        src, dst = msg.src, msg.dst
+        proc = src[1] if src[0] == "core" else (dst[1] if dst[0] == "core" else -1)
+        return inj.fire(kind, now, proc, msg.addr, detail=f"{what} {src}->{dst} {effect}")
 
     def _push(self, arrival: int, msg: Message) -> None:
         self._seq += 1

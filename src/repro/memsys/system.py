@@ -15,7 +15,12 @@ from dataclasses import dataclass
 from repro.core.types import INITIAL
 from repro.memsys.bus import Bus
 from repro.memsys.cache import Cache, CacheLine
-from repro.memsys.faults import FaultConfig, FaultInjector, FaultKind
+from repro.memsys.faults import (
+    FaultConfig,
+    FaultInjector,
+    FaultKind,
+    corrupt_write_orders,
+)
 from repro.memsys.memory import MainMemory
 from repro.memsys.processor import Processor, ScriptKind, ScriptOp
 from repro.memsys.protocol import BusOp, LineState, make_protocol
@@ -126,8 +131,6 @@ class MultiprocessorSystem:
         execution = self.recorder.build_execution(
             initial=self._initial_snapshot, final=final
         )
-        from repro.memsys.faults import corrupt_write_orders
-
         write_orders = corrupt_write_orders(
             self.recorder.write_orders, self.injector, self.steps
         )
@@ -178,6 +181,7 @@ class MultiprocessorSystem:
         supplied: dict[int, object] | None = None
         supplier: int | None = None
         others_retain = False
+        inj = self.injector
         for q, cache in enumerate(self.caches):
             if q == requester:
                 continue
@@ -186,7 +190,7 @@ class MultiprocessorSystem:
                 continue
             action = self.protocol.snoop(line.state, op)
             if action.supply_data and supplied is None:
-                if self.injector.fire(
+                if FaultKind.STALE_MEMORY in inj.live and inj.fire(
                     FaultKind.STALE_MEMORY,
                     self.steps,
                     q,
@@ -204,12 +208,16 @@ class MultiprocessorSystem:
                 self.memory.write_line(base, line.data)
                 cache.stats.interventions += 1
             if action.next_state is not line.state:
-                if action.next_state is LineState.INVALID and self.injector.fire(
-                    FaultKind.LOST_INVALIDATION,
-                    self.steps,
-                    q,
-                    addr,
-                    detail=f"ignored {op.value}",
+                if (
+                    action.next_state is LineState.INVALID
+                    and FaultKind.LOST_INVALIDATION in inj.live
+                    and inj.fire(
+                        FaultKind.LOST_INVALIDATION,
+                        self.steps,
+                        q,
+                        addr,
+                        detail=f"ignored {op.value}",
+                    )
                 ):
                     # The snooper keeps its (now stale) copy.
                     others_retain = True

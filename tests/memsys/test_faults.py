@@ -68,6 +68,61 @@ class TestInjectorMechanics:
         assert cfg.seed == 1
 
 
+class TestLiveSites:
+    def test_none_has_no_live_site(self):
+        assert FaultInjector(FaultConfig.none()).live == frozenset()
+
+    def test_zero_rate_override_is_not_live(self):
+        cfg = FaultConfig(
+            kinds=frozenset([FaultKind.DROPPED_MSG, FaultKind.STALE_SHARER]),
+            rate=0.5,
+            rates={FaultKind.DROPPED_MSG: 0.0},
+        )
+        assert FaultInjector(cfg).live == {FaultKind.STALE_SHARER}
+        assert FaultInjector(FaultConfig.from_spec("drop-msg=0")).live == frozenset()
+
+    def test_live_set_empties_at_the_cap(self):
+        kinds = frozenset([FaultKind.DROPPED_MSG, FaultKind.DUPLICATED_MSG])
+        inj = FaultInjector(FaultConfig(kinds=kinds, rate=1.0, max_events=2))
+        assert inj.live == kinds
+        assert inj.fire(FaultKind.DROPPED_MSG, 0, 0, 0)
+        assert inj.live == kinds
+        assert inj.fire(FaultKind.DUPLICATED_MSG, 0, 0, 0)
+        assert inj.live == frozenset()
+        assert not inj.fire(FaultKind.DROPPED_MSG, 0, 0, 0)
+        assert inj.injected == 2
+
+    def test_zero_cap_is_never_live(self):
+        cfg = FaultConfig(
+            kinds=frozenset([FaultKind.DROPPED_MSG]), rate=1.0, max_events=0
+        )
+        inj = FaultInjector(cfg)
+        assert inj.live == frozenset()
+        assert not inj.fire(FaultKind.DROPPED_MSG, 0, 0, 0)
+
+    def test_non_live_fire_draws_nothing(self):
+        cfg = FaultConfig(kinds=frozenset([FaultKind.DROPPED_MSG]), rate=0.5, seed=3)
+        plain, fed = FaultInjector(cfg), FaultInjector(cfg)
+        for kind in FaultKind:
+            if kind is not FaultKind.DROPPED_MSG:
+                assert not fed.fire(kind, 0, 0, 0, "never recorded")
+        assert fed.events == []
+        assert [fed.rng.random() for _ in range(5)] == [
+            plain.rng.random() for _ in range(5)
+        ]
+
+    def test_capped_fire_draws_nothing(self):
+        cfg = FaultConfig(
+            kinds=frozenset([FaultKind.DROPPED_MSG]), rate=1.0, max_events=1, seed=3
+        )
+        plain, fed = FaultInjector(cfg), FaultInjector(cfg)
+        assert plain.fire(FaultKind.DROPPED_MSG, 0, 0, 0)
+        assert fed.fire(FaultKind.DROPPED_MSG, 0, 0, 0)
+        for _ in range(10):
+            assert not fed.fire(FaultKind.DROPPED_MSG, 0, 0, 0)
+        assert fed.rng.random() == plain.rng.random()
+
+
 class TestFaultSpec:
     def test_parse_and_describe_round_trip(self):
         spec = FaultSpec.parse("drop-msg=0.02,stale-sharer=0.01,seed=7")

@@ -163,6 +163,23 @@ class TestFaultHooks:
         assert inj.injected == 5
         assert len(inj.events) == net.stats.dropped == 5
 
+    def test_no_live_link_site_leaves_the_injector_alone(self):
+        # Only a home-node site is live: sends make no fault draw.
+        inj = injector(FaultKind.STALE_SHARER, rate=0.5, seed=4)
+        before = inj.rng.getstate()
+        net = Interconnect("uniform:1:4", injector=inj, seed=1)
+        for i in range(20):
+            net.send(msg(txn=i, mtype=MessageType.INV_ACK), now=i)
+        assert inj.rng.getstate() == before
+        assert net.pending() == 20 and inj.events == []
+
+    def test_detail_names_the_link(self):
+        inj = injector(FaultKind.DUPLICATED_MSG, max_events=1)
+        net = Interconnect("fixed:1", injector=inj)
+        net.send(msg(txn=1, src=CORE1, dst=HOME0), now=0)
+        assert inj.events[0].detail == "GetS ('core', 1)->('home', 0) duplicated"
+        assert inj.events[0].proc == 1
+
 
 class TestStats:
     def test_counts_by_type(self):
