@@ -45,14 +45,16 @@ Two comparison matrices:
 
 * **Fault-campaign arms**: a certified ground-truth campaign (fault
   sites × substrates, seeded simulations, oracle-classified
-  injections) swept cold against a fresh persistent store and run
-  cache, then re-swept warm.  Simulation is seeded and deterministic,
-  so the warm pass replays every decided run from the campaign run
-  cache — no simulation, no solving.  Guards: the ground-truth
-  contract holds on both passes (every oracle-visible fault flagged,
-  zero false alarms, full coverage, certificates attached), the warm
-  pass replays everything and solves nothing, and the warm sweep beats
-  the cold one by >= 3x past a measurement floor.
+  injections) swept cold against a fresh persistent store, then
+  re-swept warm.  Simulation is seeded and deterministic, so the warm
+  pass replays every run from the store instead of simulating it, and
+  verifies each one again off the store's verdict entries (re-checked
+  on load under certification) — no simulation, no solving.  Guards:
+  the ground-truth contract holds on both passes (every oracle-visible
+  fault flagged, zero false alarms, full coverage, certificates
+  attached), the warm pass replays everything and solves nothing, and
+  the warm sweep beats the cold one by >= 3x past a measurement
+  floor.
 
 * **Service arms**: the same solve-heavy chain shape sent as
   one-request-per-execution campaigns through a live ``repro serve``
@@ -928,24 +930,25 @@ def run_service(quick: bool) -> tuple[dict, bool]:
     return payload, guard_ok
 
 
-#: A warm campaign re-run (same run cache and store, fresh in-memory
-#: state) must beat the cold sweep's wall clock by this factor.
-#: Simulation is seeded and deterministic, so every decided run is
-#: replayed from the campaign run cache — the warm pass neither
-#: simulates nor solves, it just re-aggregates recorded outcomes.  The
-#: ratio guard is skipped when the cold sweep is too fast to measure.
+#: A warm campaign re-run (same store, fresh in-memory state) must
+#: beat the cold sweep's wall clock by this factor.  Simulation is
+#: seeded and deterministic, so every run is replayed from the store —
+#: the warm pass neither simulates nor solves; it re-verifies every run
+#: off the store's verdict entries (re-checked on load) and aggregates
+#: them as a cold pass would.  The ratio guard is skipped when the cold
+#: sweep is too fast to measure.
 CAMPAIGN_GUARD_WARM_SPEEDUP = 3.0
 CAMPAIGN_COLD_FLOOR_S = 0.2
 
 
 def run_campaign_bench(quick: bool, jobs: int) -> tuple[dict, bool]:
     """Fault-campaign scenario: a certified fault-injection sweep
-    against a fresh persistent store and run cache, then a warm re-run
-    of the identical sweep.  Guards: the ground-truth contract holds on
-    both passes (zero false alarms, zero missed visibles, full
-    coverage), the warm pass replays every run from the cache without
-    solving anything, and the warm sweep beats the cold one by the
-    factor above."""
+    against a fresh persistent store, then a warm re-run of the
+    identical sweep.  Guards: the ground-truth contract holds on both
+    passes (zero false alarms, zero missed visibles, full coverage),
+    the warm pass replays every run from the store without solving
+    anything, and the warm sweep beats the cold one by the factor
+    above."""
     import tempfile
 
     from repro.memsys.campaign import campaign_table, run_campaign
@@ -975,21 +978,18 @@ def run_campaign_bench(quick: bool, jobs: int) -> tuple[dict, bool]:
         jobs=1,
     )
 
-    def sweep(store: ResultStore, run_cache: Path):
+    def sweep(store: ResultStore):
         # A fresh result cache per pass: the second sweep may only
         # warm-start from what the first persisted, not shared memory.
         cache = ResultCache(store=store)
         t0 = time.perf_counter()
-        report = run_campaign(
-            cache=cache, store=store, run_cache=run_cache, **kwargs
-        )
+        report = run_campaign(cache=cache, store=store, **kwargs)
         return round(time.perf_counter() - t0, 4), report
 
     with tempfile.TemporaryDirectory(prefix="repro-bench-campaign-") as tmp:
         store = ResultStore(Path(tmp) / "store")
-        run_cache = Path(tmp) / "runs"
-        cold_s, cold = sweep(store, run_cache)
-        warm_s, warm = sweep(store, run_cache)
+        cold_s, cold = sweep(store)
+        warm_s, warm = sweep(store)
 
     cold_eps = round(cold.total_runs / cold_s, 1) if cold_s else None
     warm_eps = round(cold.total_runs / warm_s, 1) if warm_s else None
@@ -1004,7 +1004,7 @@ def run_campaign_bench(quick: bool, jobs: int) -> tuple[dict, bool]:
     print(
         f"campaign warm         {warm_s * 1e3:>9.1f}ms  "
         f"({warm_eps} exec/s; "
-        f"{warm.provenance.get('run-cache', 0)} replayed)"
+        f"{warm.provenance.get('replayed', 0)} replayed)"
     )
 
     contract_ok = cold.contract_ok and warm.contract_ok
@@ -1030,14 +1030,14 @@ def run_campaign_bench(quick: bool, jobs: int) -> tuple[dict, bool]:
             f"{cold.certified}, errors {cold.errors}/{warm.errors})",
             file=sys.stderr,
         )
-    warm_replayed = warm.provenance.get("run-cache", 0)
+    warm_replayed = warm.provenance.get("replayed", 0)
     warm_solved = warm.provenance.get("solved", 0)
     served_ok = warm_solved == 0 and warm_replayed == warm.total_runs
     if not served_ok:
         print(
             f"error: warm campaign replayed {warm_replayed}/"
             f"{warm.total_runs} runs and solved {warm_solved} instances "
-            f"instead of replaying everything from the run cache",
+            f"instead of replaying everything from the store",
             file=sys.stderr,
         )
     warm_speedup = round(cold_s / warm_s, 2) if warm_s else None

@@ -49,8 +49,10 @@ Commands:
   runs as one deduplicated batch (``--jobs``, ``--store``,
   ``--certify``), and hold the verifier to the latency oracle's
   contract — every visible injection flagged VIOLATED, every latent
-  injection and control run HOLDS, zero false alarms.  Exit 0 iff the
-  contract holds.
+  injection and control run HOLDS, zero false alarms.  ``--store``
+  also records every simulated run, so a repeated sweep replays it
+  instead of simulating again (and still verifies it).  Exit 0 iff
+  the contract holds.
 * ``solve <file.cnf>``     — decide a DIMACS formula with the built-in
   CDCL solver (``--via-vmc`` routes it through the Figure 4.1
   reduction instead, as a demonstration).
@@ -820,7 +822,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         cache=cache,
         store=store,
-        run_cache=args.run_cache,
         resilience=resilience,
         certify=args.certify,
         progress=say,
@@ -1386,14 +1387,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--homes", type=_positive_int, default=2,
                    help="directory home nodes (default 2)")
     p.add_argument(
-        "--run-cache",
-        default=None,
-        metavar="DIR",
-        help="per-run outcome cache directory: a repeated sweep with "
-        "the same parameters replays recorded verdicts instead of "
-        "re-simulating and re-verifying (resume/extend mega-campaigns)",
-    )
-    p.add_argument(
         "--jobs",
         type=_positive_int,
         default=1,
@@ -1428,7 +1421,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task-timeout", type=_nonneg_float, default=None,
                    metavar="S", help="soft deadline per unique instance")
     p.add_argument("--retries", type=_nonneg_int, default=None, metavar="N",
-                   help="pool-breakage retries per chunk (default 2)")
+                   help="crash retries per task before quarantine "
+                   "(default 2)")
     p.add_argument("--chaos", default=None, metavar="SPEC",
                    help="inject engine faults; test-only, needs REPRO_CHAOS")
     _add_store_args(p)

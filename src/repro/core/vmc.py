@@ -33,11 +33,6 @@ from typing import Mapping, Sequence
 from repro.core.result import VerificationResult
 from repro.core.types import Address, Execution, Operation
 from repro.engine import verify_vmc, verify_vmc_at
-from repro.engine.backend import EXACT_STATE_BUDGET, estimated_states
-
-# Backwards-compatible aliases for the pre-engine module internals.
-_EXACT_STATE_BUDGET = EXACT_STATE_BUDGET
-_estimated_states = estimated_states
 
 
 def verify_coherence_at(

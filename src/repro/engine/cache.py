@@ -295,7 +295,7 @@ class ResultCache:
                     reason=rec["reason"],
                     schedule_idx=rec["schedule_idx"],
                     stats=rec["stats"],
-                    certificate=rec["certificate"],
+                    certificate=rec.get("certificate"),
                     from_store=True,
                 )
                 from_store = True
@@ -363,10 +363,10 @@ class ResultCache:
         if self.store_tier is not None and not result.unknown:
             self.store_tier.put(
                 canon,
-                holds=entry.holds,
+                holds=bool(entry.holds),
                 method=entry.method,
                 reason=entry.reason,
-                schedule_idx=entry.schedule_idx,
+                schedule_idx=entry.schedule_idx or None,
                 stats=entry.stats,
                 certificate=entry.certificate,
             )

@@ -424,10 +424,10 @@ class ResultStore:
     def lookup(self, canon: "CanonicalInstance") -> dict[str, Any] | None:
         """Return the stored entry for ``canon`` or ``None``.
 
-        The returned dict is a private copy with keys ``holds``,
-        ``method``, ``reason``, ``schedule_idx``, ``stats``,
-        ``certificate``.  A fingerprint match with a different full key
-        (hash collision / stale format) is a miss, never served.
+        The returned dict is a private copy of the fields the entry was
+        :meth:`put` with (plus ``key`` and ``ts``).  A fingerprint match
+        with a different full key (hash collision / stale format) is a
+        miss, never served.
         """
         key = self._key_of(canon)
         fp = fingerprint_key(key)
@@ -453,7 +453,8 @@ class ResultStore:
             shard.recency_ts[fp] = now
             shard.pending.append(_encode(REC_TOUCH, fp + _TS.pack(now)))
             out = dict(entry)
-            out["stats"] = dict(entry.get("stats") or {})
+            if "stats" in entry:
+                out["stats"] = dict(entry["stats"] or {})
         if self.chaos is not None and self.chaos.corrupts_store_record(fp.hex()):
             _tamper_entry(out)
         return out
@@ -488,38 +489,22 @@ class ResultStore:
     # ------------------------------------------------------------------
     # Write path
     # ------------------------------------------------------------------
-    def put(
-        self,
-        canon: "CanonicalInstance",
-        *,
-        holds: bool,
-        method: str,
-        reason: str,
-        schedule_idx: list[int] | None,
-        stats: dict[str, Any],
-        certificate: Any = None,
-    ) -> None:
-        """Buffer one entry for the next :meth:`flush`.
+    def put(self, key: "CanonicalInstance | Hashable", /, **fields: Any) -> None:
+        """Buffer one entry ``{"key": key, **fields}`` for the next
+        :meth:`flush`.
 
-        The entry is visible to this process immediately; other
-        processes see it after the flush.  Payloads are pickled here so
-        later caller-side mutation cannot leak into the log.
+        Verdict entries (written by
+        :meth:`~repro.engine.cache.ResultCache.store`) carry ``holds``,
+        ``method``, ``reason``, ``schedule_idx``, ``stats`` and
+        ``certificate``; other callers pick their own fields under keys
+        that cannot collide with a canonical key.  The entry is visible
+        to this process immediately; other processes see it after the
+        flush.  Payloads are pickled here so later caller-side mutation
+        cannot leak into the log.
         """
-        key = self._key_of(canon)
+        key = self._key_of(key)
         fp = fingerprint_key(key)
-        entry = {
-            "key": key,
-            "holds": bool(holds),
-            "method": method,
-            "reason": reason,
-            "schedule_idx": list(schedule_idx) if schedule_idx else None,
-            "stats": {
-                k: v for k, v in (stats or {}).items()
-                if k not in ("cache_hit", "store_hit", "t_certify")
-            },
-            "certificate": certificate,
-            "ts": time.time(),
-        }
+        entry = {"key": key, **fields, "ts": time.time()}
         payload = fp + pickle.dumps(entry, protocol=4)
         with self._lock:
             shard = self._shards[self.shard_of(fp)]

@@ -54,7 +54,6 @@ from repro.memsys.campaign import (
     SUBSTRATES,
     WORKLOADS,
     CampaignReport,
-    CampaignRunCache,
     CellResult,
     campaign_table,
     run_campaign,
@@ -82,7 +81,6 @@ __all__ = [
     "Message",
     "make_delay_model",
     "CampaignReport",
-    "CampaignRunCache",
     "CellResult",
     "campaign_table",
     "run_campaign",

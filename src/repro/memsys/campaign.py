@@ -25,16 +25,24 @@ campaign before any solving — fingerprint-identical per-address
 histories, which campaigns repeat constantly, are decided once.
 ``jobs`` decides the deduplicated instances on the engine's pool, one
 :class:`~repro.engine.ResultCache` carries hits across cells, a
-``store`` (:class:`~repro.engine.ResultStore`) warm-starts repeated
-campaigns from disk, a ``resilience`` policy bounds the whole sweep,
-and ``certify`` threads proof-carrying verdicts end to end.
+``resilience`` policy bounds the whole sweep, and ``certify`` threads
+proof-carrying verdicts end to end.
+
+A ``store`` (:class:`~repro.engine.ResultStore`) warm-starts repeated
+campaigns from disk.  Simulation is seeded and deterministic, so each
+simulated run's execution, write-orders, injections and oracle report
+are stored under its cell parameters, seed and a digest of the
+package sources; a repeated sweep replays them instead of simulating
+again.  A replayed run is never a recorded verdict: it goes through
+the same :func:`~repro.engine.verify_many` call and the same
+aggregation as a live run, so its verdicts come from the store's
+verdict entries and are re-checked on load under ``certify``.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
-import json
-import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -109,65 +117,29 @@ def _make_workload(
 _PROTOCOLS = {"bus": "MESI", "directory": "MSI"}
 
 
-#: Bump when simulator, oracle, or record-shape changes invalidate
-#: previously recorded run outcomes.
-_RUN_CACHE_VERSION = 1
+#: The RunResult fields campaign aggregation reads; a stored run is
+#: exactly these.
+_RUN_FIELDS = ("execution", "write_orders", "fault_events", "oracle")
 
 
-class CampaignRunCache:
-    """Persistent per-run campaign outcomes, keyed by parameters + seed.
-
-    Simulation is seeded and deterministic, so a run's outcome — the
-    oracle's classification plus the verifier's decided verdict — is a
-    pure function of its cell parameters and seed.  A repeated sweep
-    (resuming a crashed mega-campaign, extending ``runs_per_cell``, a
-    recurring CI job) replays recorded outcomes instead of re-simulating
-    and re-verifying; only the runs it has never seen go through the
-    full pipeline.  This is distinct from the engine's
-    :class:`~repro.engine.ResultStore`, which amortizes *verification*
-    of repeated executions but cannot skip the simulation that produces
-    them.
-
-    Only decided verdicts are recorded: engine errors and abandoned
-    (unknown) verdicts are always retried live on the next sweep.
-    Records carry a format version — outcomes recorded by an older
-    simulator/oracle are treated as misses.
-    """
-
-    def __init__(self, root: str | Path):
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self.hits = 0
-        self.misses = 0
-
-    @staticmethod
-    def key_of(payload: dict) -> str:
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:32]
-
-    def lookup(self, key: str) -> dict | None:
+@functools.cache
+def _source_digest() -> str | None:
+    """SHA-256 over the ``repro`` package's ``.py`` sources, computed
+    once per process.  Part of every stored run's key, so a run is only
+    replayed by the code that simulated it; ``None`` (no replay) when
+    no source can be read."""
+    root = Path(__file__).resolve().parent.parent
+    digest = hashlib.sha256()
+    found = False
+    for path in sorted(root.rglob("*.py")):
         try:
-            record = json.loads(
-                (self.root / f"{key}.json").read_text(encoding="utf-8")
-            )
-        except (OSError, ValueError):
-            self.misses += 1
-            return None
-        if record.get("v") != _RUN_CACHE_VERSION:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return record
-
-    def put(self, key: str, record: dict) -> None:
-        record = dict(record, v=_RUN_CACHE_VERSION)
-        path = self.root / f"{key}.json"
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        tmp.write_text(json.dumps(record, sort_keys=True), encoding="utf-8")
-        tmp.replace(path)
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.root.glob("*.json"))
+            data = path.read_bytes()
+        except OSError:
+            continue
+        digest.update(path.relative_to(root).as_posix().encode("utf-8"))
+        digest.update(hashlib.sha256(data).digest())
+        found = True
+    return digest.hexdigest() if found else None
 
 
 @dataclass
@@ -249,10 +221,10 @@ class CampaignReport:
     #: Human-readable contract breaches (missed visibles, false alarms,
     #: spontaneous violations), capped; empty iff ``contract_ok``.
     contract_failures: list[str] = field(default_factory=list)
-    #: Wall-clock split between the two campaign phases.  Only the
-    #: verify phase is amortizable by a persistent store — simulation
-    #: re-runs every seed regardless — so warm-start speedups must be
-    #: judged against ``verify_s``, not the whole sweep.
+    #: Wall-clock split between the two campaign phases.  With a
+    #: ``store``, ``simulate_s`` covers only the runs it did not hold
+    #: (plus the lookups that replayed the rest); ``verify_s`` always
+    #: covers every run, replayed or not.
     simulate_s: float = 0.0
     verify_s: float = 0.0
 
@@ -312,56 +284,6 @@ class CampaignReport:
         }
 
 
-def _replay_record(
-    report: CampaignReport,
-    cell: CellResult,
-    record: dict,
-    label: str,
-    control: bool,
-) -> None:
-    """Aggregate one run-cache record exactly as a live run would be.
-
-    Records only exist for decided verdicts, so the error/unknown
-    branches of the live path have no replayed counterpart; contract
-    breaches recorded cold (a missed visible fault, a false alarm) are
-    re-raised on replay so a warm sweep cannot launder a failure.
-    """
-    if record["injections"]:
-        cell.injected_runs += 1
-        cell.injections += record["injections"]
-        report.total_injections += record["injections"]
-        cell.visible += record["visible"]
-        cell.latent += record["latent"]
-    if record["spontaneous"]:
-        report._fail(
-            f"{label}: incoherent with no injected fault "
-            f"(simulator bug): {record['violations']}"
-        )
-    expected = record["expected"]
-    if expected == "VIOLATED":
-        cell.visible_runs += 1
-    cell.certified += record["certified"]
-    report.certified += record["certified"]
-    report.provenance["run-cache"] = report.provenance.get("run-cache", 0) + 1
-    if expected == "VIOLATED":
-        if record["violated"]:
-            cell.detected_visible += 1
-        else:
-            cell.missed_visible += 1
-            report._fail(
-                f"{label}: missed visible fault — oracle proves "
-                f"incoherence at {record['violations']} but the "
-                f"verifier answered holds (replayed)"
-            )
-    elif record["violated"]:
-        cell.false_alarms += 1
-        kind = "control run" if control else "latent-only run"
-        report._fail(
-            f"{label}: false alarm — {kind} flagged VIOLATED "
-            f"({record['reason']}) (replayed)"
-        )
-
-
 def run_campaign(
     sites: list[FaultKind] | None = None,
     substrates: list[str] | None = None,
@@ -380,7 +302,6 @@ def run_campaign(
     jobs: int = 1,
     cache: ResultCache | None = None,
     store: ResultStore | None = None,
-    run_cache: CampaignRunCache | str | Path | None = None,
     resilience=None,
     certify: str = "off",
     prepass: bool = True,
@@ -397,11 +318,10 @@ def run_campaign(
     applies to the directory substrate only (the bus is atomic; its
     single cell per site is labelled ``atomic``).
 
-    ``run_cache`` (a :class:`CampaignRunCache` or a directory path)
-    makes repeated sweeps incremental: decided per-run outcomes are
-    recorded keyed by the cell parameters and seed, and a later sweep
-    replays them — skipping both simulation and verification — counting
-    each under the ``"run-cache"`` provenance key.
+    With a ``store``, every simulated run is recorded in it and a
+    repeated sweep replays the runs it holds instead of simulating
+    them, counting each under the ``"replayed"`` provenance key.
+    Replayed runs are verified like live ones.
     """
     substrates = substrates or list(SUBSTRATES)
     for s in substrates:
@@ -411,15 +331,14 @@ def run_campaign(
             )
     delay_models = list(delay_models or ["fixed:1"])
     cache = cache if cache is not None else ResultCache(store=store)
-    if run_cache is not None and not isinstance(run_cache, CampaignRunCache):
-        run_cache = CampaignRunCache(run_cache)
+    digest = _source_digest() if store is not None else None
 
     report = CampaignReport()
     cells: list[CellResult] = []
-    #: One dict per run, in sweep order.  ``record`` is the replayed
-    #: run-cache entry (simulation skipped); otherwise ``run`` holds
-    #: the live RunResult and ``outcome`` is filled by verify_many.
-    entries: list[dict] = []
+    #: One (cell index, control, label, run fields) per run, in sweep
+    #: order; the fields are live or replayed from the store.
+    entries: list[tuple[int, bool, str, dict]] = []
+    replayed = 0
 
     say = progress or (lambda _msg: None)
     t_start = time.perf_counter()
@@ -435,7 +354,6 @@ def run_campaign(
                     site=site, substrate=substrate, delay_model=delay
                 )
                 cells.append(cell)
-                cell_idx = len(cells) - 1
                 say(f"simulating {cell.key}: {runs_per_cell}+1 runs")
                 for i in range(runs_per_cell + 1):
                     control = i == runs_per_cell
@@ -444,116 +362,95 @@ def run_campaign(
                     label = f"{cell.key}/seed={seed}" + (
                         "/control" if control else ""
                     )
-                    entry = {
-                        "cell": cell_idx,
-                        "control": control,
-                        "label": label,
-                        "key": None,
-                        "record": None,
-                        "run": None,
-                        "outcome": None,
-                    }
-                    entries.append(entry)
-                    if run_cache is not None:
-                        entry["key"] = CampaignRunCache.key_of(
-                            {
-                                "substrate": substrate,
-                                "site": site.value,
-                                "delay": delay,
-                                "seed": seed,
-                                "control": control,
-                                "procs": num_processors,
-                                "ops": ops_per_processor,
-                                "addrs": num_addresses,
-                                "wf": write_fraction,
-                                "values": values,
-                                "workload": workload,
-                                "rate": fault_rate,
-                                "max_events": max_events,
-                                "homes": num_homes,
-                                "certify": certify,
-                            }
+                    key = fields = None
+                    if digest is not None:
+                        key = (
+                            "campaign-run", digest, substrate, site.value,
+                            delay, seed, control, num_processors,
+                            ops_per_processor, num_addresses,
+                            write_fraction, values, workload, fault_rate,
+                            max_events, num_homes,
                         )
-                        entry["record"] = run_cache.lookup(entry["key"])
-                        if entry["record"] is not None:
-                            continue
-                    scripts, init = _make_workload(
-                        workload,
-                        num_processors=num_processors,
-                        ops_per_processor=ops_per_processor,
-                        num_addresses=num_addresses,
-                        write_fraction=write_fraction,
-                        values=values,
-                        seed=seed,
-                    )
-                    cfg = SystemConfig(
-                        num_processors=num_processors,
-                        protocol=_PROTOCOLS[substrate],
-                        seed=seed,
-                        num_homes=num_homes,
-                        delay_model=delay if delay != "atomic" else "fixed:1",
-                    )
-                    faults = (
-                        FaultConfig.none()
-                        if control
-                        else FaultConfig(
-                            kinds=frozenset([site]),
-                            rate=fault_rate,
-                            max_events=max_events,
+                        fields = store.lookup(key)
+                    if fields is not None:
+                        replayed += 1
+                    else:
+                        scripts, init = _make_workload(
+                            workload,
+                            num_processors=num_processors,
+                            ops_per_processor=ops_per_processor,
+                            num_addresses=num_addresses,
+                            write_fraction=write_fraction,
+                            values=values,
                             seed=seed,
                         )
-                    )
-                    entry["run"] = system_cls(
-                        cfg, scripts, initial_memory=init, faults=faults
-                    ).run()
+                        cfg = SystemConfig(
+                            num_processors=num_processors,
+                            protocol=_PROTOCOLS[substrate],
+                            seed=seed,
+                            num_homes=num_homes,
+                            delay_model=(
+                                delay if delay != "atomic" else "fixed:1"
+                            ),
+                        )
+                        faults = (
+                            FaultConfig.none()
+                            if control
+                            else FaultConfig(
+                                kinds=frozenset([site]),
+                                rate=fault_rate,
+                                max_events=max_events,
+                                seed=seed,
+                            )
+                        )
+                        run = system_cls(
+                            cfg, scripts, initial_memory=init, faults=faults
+                        ).run()
+                        fields = {f: getattr(run, f) for f in _RUN_FIELDS}
+                        if key is not None:
+                            store.put(key, **fields)
+                    entries.append((len(cells) - 1, control, label, fields))
 
     report.simulate_s = round(time.perf_counter() - t_start, 4)
-    live = [e for e in entries if e["record"] is None]
-    replayed = len(entries) - len(live)
     say(
-        f"verifying {len(live)} executions "
+        f"verifying {len(entries)} executions "
         f"({len(cells)} cells, jobs={jobs}, certify={certify}"
-        + (f", {replayed} replayed from run cache)" if replayed else ")")
+        + (f", {replayed} replayed from the store)" if replayed else ")")
     )
     t_verify = time.perf_counter()
-    if live:
-        outcomes = verify_many(
-            [e["run"].execution for e in live],
-            write_orders=[e["run"].write_orders for e in live],
-            labels=[e["label"] for e in live],
-            jobs=jobs,
-            cache=cache,
-            store=store,
-            resilience=resilience,
-            certify=certify,
-            prepass=prepass,
-            portfolio=portfolio,
-        )
-        for entry, outcome in zip(live, outcomes):
-            entry["outcome"] = outcome
+    outcomes = verify_many(
+        [fields["execution"] for *_, fields in entries],
+        write_orders=[fields["write_orders"] for *_, fields in entries],
+        labels=[label for _, _, label, _ in entries],
+        jobs=jobs,
+        cache=cache,
+        store=store,
+        resilience=resilience,
+        certify=certify,
+        prepass=prepass,
+        portfolio=portfolio,
+    )
+    if store is not None:
+        # Run records reach disk even when ``cache`` writes through to
+        # no store (verify_many only flushes the cache's own tier).
+        store.flush()
     report.verify_s = round(time.perf_counter() - t_verify, 4)
+    if replayed:
+        report.provenance["replayed"] = replayed
 
-    for entry in entries:
-        cell = cells[entry["cell"]]
-        control = entry["control"]
-        label = entry["label"]
+    for (cell_idx, control, label, fields), outcome in zip(entries, outcomes):
+        cell = cells[cell_idx]
         cell.runs += 1
         report.total_runs += 1
         if control:
             cell.control_runs += 1
 
-        record = entry["record"]
-        if record is not None:
-            _replay_record(report, cell, record, label, control)
-            continue
-
-        run = entry["run"]
-        outcome = entry["outcome"]
-        oracle = run.oracle
-        if run.faults_injected:
+        oracle = fields["oracle"]
+        injections = len(fields["fault_events"])
+        if injections:
             cell.injected_runs += 1
-            cell.injections += run.faults_injected
-            report.total_injections += run.faults_injected
+            cell.injections += injections
+            report.total_injections += injections
             cell.visible += len(oracle.visible_events)
             cell.latent += len(oracle.latent_events)
         if oracle.spontaneous:
@@ -587,23 +484,6 @@ def run_campaign(
                     f"was abandoned (unknown)"
                 )
             continue
-        if run_cache is not None:
-            # Decided outcome: record it so a repeated sweep replays
-            # this run without re-simulating or re-verifying.
-            run_cache.put(
-                entry["key"],
-                {
-                    "injections": run.faults_injected,
-                    "visible": len(oracle.visible_events),
-                    "latent": len(oracle.latent_events),
-                    "spontaneous": bool(oracle.spontaneous),
-                    "violations": sorted(oracle.violations),
-                    "expected": expected,
-                    "violated": bool(verdict.violated),
-                    "reason": verdict.reason if verdict.violated else None,
-                    "certified": outcome.certified,
-                },
-            )
         if expected == "VIOLATED":
             if verdict.violated:
                 cell.detected_visible += 1

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import enum
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.memsys.faults import FaultInjector, FaultKind
 from repro.util.rng import make_rng
@@ -180,7 +180,6 @@ class InterconnectStats:
     duplicated: int = 0
     delayed: int = 0
     reordered: int = 0
-    by_type: dict[str, int] = field(default_factory=dict)
 
 
 class Interconnect:
@@ -216,7 +215,6 @@ class Interconnect:
     def send(self, msg: Message, now: int) -> None:
         self.stats.sent += 1
         key = msg.mtype.value
-        self.stats.by_type[key] = self.stats.by_type.get(key, 0) + 1
 
         inj = self.injector
         faulty = inj is not None and not LINK_FAULTS.isdisjoint(inj.live)

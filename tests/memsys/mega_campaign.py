@@ -4,9 +4,10 @@ A seeded campaign of at least 500 executions (every supported fault
 site on both substrates, two delay models on the directory) is run
 with certification on a 4-way pool against a persistent result store,
 first cold and then warm from the same store.  It fails on any engine
-error, any false alarm, any missed visible fault, any coverage gap, or
-a warm pass that re-solves what the cold pass solved (every instance
-the cold pass solved must come back as a store hit).
+error, any false alarm, any missed visible fault, any coverage gap, a
+warm pass that re-solves what the cold pass solved (every instance
+the cold pass solved must come back as a store hit), or a warm pass
+that simulates a run the store holds (every run must be replayed).
 
 Run it from the root of a checkout::
 
@@ -86,6 +87,10 @@ def check(store_dir: str) -> None:
     )
     assert warm.provenance.get("solved", 0) == 0, (
         "warm pass re-solved instances"
+    )
+    assert warm.provenance.get("replayed", 0) == warm.total_runs, (
+        f"warm pass simulated runs the store holds: replayed "
+        f"{warm.provenance.get('replayed', 0)}/{warm.total_runs}"
     )
     print(campaign_table(cold))
     print("campaign job ok")

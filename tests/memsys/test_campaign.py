@@ -1,13 +1,16 @@
 """Ground-truth campaigns: the visible ⇒ VIOLATED / latent ⇒ HOLDS
 contract, per-cell aggregation, control runs, and determinism."""
 
+import dataclasses
+
 import pytest
 
-from repro.engine import ResultCache
+from repro.core.types import Execution, ProcessHistory
+from repro.engine import ResultCache, ResultStore
+from repro.memsys import campaign as campaign_mod
 from repro.memsys.campaign import (
     SUBSTRATES,
     CampaignReport,
-    CampaignRunCache,
     CellResult,
     campaign_table,
     run_campaign,
@@ -228,83 +231,119 @@ class TestReportRendering:
 
 
 class TestRunCache:
-    """The campaign run cache: repeated sweeps replay recorded
-    per-run outcomes instead of re-simulating and re-verifying."""
+    """Runs recorded in the result store: a repeated sweep replays them
+    instead of simulating, and still verifies every one of them."""
 
     SITES = [FaultKind.DROPPED_WRITE, FaultKind.STALE_SHARER]
 
-    def _sweep(self, tmp_path, **overrides):
+    def _sweep(self, store, **overrides):
         kwargs = dict(
             sites=self.SITES,
             substrates=["directory"],
-            run_cache=tmp_path / "runs",
+            store=store,
+            certify="on",
             **SMALL,
         )
         kwargs.update(overrides)
         return run_campaign(**kwargs)
 
-    def test_warm_sweep_replays_identically(self, tmp_path):
-        cold = self._sweep(tmp_path)
-        warm = self._sweep(tmp_path)
+    @staticmethod
+    def _forbid_simulation(monkeypatch):
+        def refuse(self):
+            raise AssertionError("simulated a run the store holds")
+
+        for system_cls in SUBSTRATES.values():
+            monkeypatch.setattr(system_cls, "run", refuse)
+
+    def test_warm_sweep_replays_identically(self, tmp_path, monkeypatch):
+        store = ResultStore(tmp_path / "store")
+        cold = self._sweep(store)
+        assert cold.provenance.get("replayed", 0) == 0
+        self._forbid_simulation(monkeypatch)
+        # A fresh handle: the warm sweep reads only what was flushed.
+        warm = self._sweep(ResultStore(tmp_path / "store"))
         assert cold.contract_ok and warm.contract_ok
-        # Every decided cold run was recorded and replayed warm.
-        decided = cold.total_runs - cold.unknown - cold.errors
-        assert warm.provenance.get("run-cache", 0) == decided
-        # Aggregates are bit-identical across the two sweeps.
+        assert warm.provenance["replayed"] == warm.total_runs
+        assert warm.provenance.get("solved", 0) == 0
+        # Replayed runs are verified: their verdicts are store hits.
+        assert warm.provenance.get("store", 0) > 0
         assert cold.to_json()["cells"] == warm.to_json()["cells"]
         assert warm.total_injections == cold.total_injections
-        assert warm.certified == cold.certified
-
-    def test_records_on_disk_and_versioned(self, tmp_path):
-        report = self._sweep(tmp_path)
-        cache = CampaignRunCache(tmp_path / "runs")
-        decided = report.total_runs - report.unknown - report.errors
-        assert len(cache) == decided > 0
-        # A stale format version is a miss, not a wrong replay.
-        key = next(iter(cache.root.glob("*.json"))).stem
-        record = cache.lookup(key)
-        assert record is not None
-        # put() stamps the current version, so poke the file directly.
-        import json as _json
-
-        path = cache.root / f"{key}.json"
-        blob = _json.loads(path.read_text())
-        blob["v"] = -1
-        path.write_text(_json.dumps(blob))
-        assert cache.lookup(key) is None
+        assert warm.certified == cold.certified > 0
+        assert warm.contract_failures == cold.contract_failures
 
     def test_parameter_change_misses(self, tmp_path):
-        self._sweep(tmp_path)
-        bumped = self._sweep(tmp_path, fault_rate=0.3)
+        store = ResultStore(tmp_path / "store")
+        self._sweep(store)
         # Different fault rate → different keys → everything re-runs.
-        assert bumped.provenance.get("run-cache", 0) == 0
+        bumped = self._sweep(store, fault_rate=0.3)
+        assert bumped.provenance.get("replayed", 0) == 0
         assert bumped.contract_ok
 
-    def test_replay_reraises_recorded_breaches(self, tmp_path):
-        cold = self._sweep(tmp_path)
-        # Corrupt one HOLDS record into a recorded false alarm: the
-        # warm sweep must surface it as a contract breach, not launder
-        # it into a pass.
-        import json as _json
+    def test_source_change_misses(self, tmp_path, monkeypatch):
+        store = ResultStore(tmp_path / "store")
+        cold = self._sweep(store)
+        monkeypatch.setattr(campaign_mod, "_source_digest", lambda: "edited")
+        warm = self._sweep(store)
+        assert warm.provenance.get("replayed", 0) == 0
+        assert cold.to_json()["cells"] == warm.to_json()["cells"]
 
-        cache = CampaignRunCache(tmp_path / "runs")
-        for path in sorted(cache.root.glob("*.json")):
-            blob = _json.loads(path.read_text())
-            if blob["expected"] == "HOLDS" and not blob["violated"]:
-                blob["violated"] = True
-                blob["reason"] = "injected-for-test"
-                path.write_text(_json.dumps(blob))
-                break
-        else:
-            pytest.skip("no HOLDS record to corrupt")
-        warm = self._sweep(tmp_path)
+    def test_no_replay_without_sources(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(campaign_mod, "_source_digest", lambda: None)
+        store = ResultStore(tmp_path / "store")
+        self._sweep(store)
+        assert self._sweep(store).provenance.get("replayed", 0) == 0
+        assert not any(
+            e["key"][0] == "campaign-run" for e in store.entries()
+        )
+
+    def test_tampered_replay_is_a_contract_breach(self, tmp_path):
+        """A stored control run whose execution no longer matches its
+        recorded oracle (HOLDS) is verified on replay, so the warm
+        sweep reports the false alarm instead of a recorded pass."""
+        store = ResultStore(tmp_path / "store")
+        cold = self._sweep(store)
         assert cold.contract_ok
+        entry = next(
+            e for e in store.entries()
+            if e["key"][0] == "campaign-run" and e["key"][6]  # control
+        )
+        execution = entry["execution"]
+        read = next(
+            op for op in execution.all_ops() if op.kind.reads
+            and not op.kind.writes
+        )
+        histories = [
+            ProcessHistory(h.proc, tuple(
+                dataclasses.replace(op, value_read=10**6)
+                if op is read else op
+                for op in h.operations
+            ))
+            for h in execution.histories
+        ]
+        tampered = Execution(
+            histories, initial=execution.initial, final=execution.final
+        )
+        store.put(
+            entry["key"],
+            **{f: entry[f] for f in ("write_orders", "fault_events", "oracle")},
+            execution=tampered,
+        )
+        store.flush()
+        warm = self._sweep(ResultStore(tmp_path / "store"))
+        assert warm.provenance["replayed"] == warm.total_runs
         assert not warm.contract_ok
-        assert any("false alarm" in f for f in warm.contract_failures)
+        assert any(
+            "false alarm — control run" in f for f in warm.contract_failures
+        )
 
-    def test_accepts_path_or_instance(self, tmp_path):
-        cache = CampaignRunCache(tmp_path / "runs")
-        cold = self._sweep(tmp_path, run_cache=cache)
-        assert cache.misses == cold.total_runs
-        warm = self._sweep(tmp_path, run_cache=str(tmp_path / "runs"))
-        assert warm.provenance.get("run-cache", 0) > 0
+    def test_evicted_runs_simulate_again(self, tmp_path):
+        # A one-shard store far smaller than one sweep's records:
+        # compaction on flush evicts most of them.
+        store = ResultStore(tmp_path / "store", max_mb=0.05, n_shards=1)
+        cold = self._sweep(store)
+        assert store.stats.evictions > 0
+        warm = self._sweep(store)
+        assert warm.provenance.get("replayed", 0) < warm.total_runs
+        assert warm.contract_ok
+        assert cold.to_json()["cells"] == warm.to_json()["cells"]
